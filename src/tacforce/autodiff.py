@@ -396,9 +396,14 @@ def square(a):
 
 
 def sqrt(a):
+    """Elementwise square root; its gradient at 0 is the subgradient 0."""
     a = _as_tensor(a)
     out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g / (2.0 * out),), "sqrt")
+
+    def vjp(g):
+        denom = 2.0 * out
+        return (np.divide(g, denom, out=np.zeros_like(out), where=denom != 0.0),)
+    return _make(out, (a,), vjp, "sqrt")
 
 
 # -- nonlinearities -------------------------------------------------------

@@ -21,8 +21,8 @@ from .optim import Adam
 from .profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
 from .sensor import (GRAVITY_MS2, ToolPose, compute_contact, quantize,
                      render_tactile, sphere_normal_force)
-from .training import (loss_depth, loss_force, loss_total, model_estimator,
-                       normalized_error)
+from .training import (PREDICT_CHUNK, loss_depth, loss_force, loss_total,
+                       model_estimator, normalized_error)
 
 SPHERE_RADIUS_MM = 8.0
 
@@ -170,6 +170,21 @@ def _force_error(net, images, forces):
     return normalized_error(forces, model_estimator(net)({"images": images}))
 
 
+def _encode(net, images):
+    """Encoder features of every image, no tape, in PREDICT_CHUNK-row passes."""
+    with ad.no_grad():
+        return np.concatenate([net.encode(images[i:i + PREDICT_CHUNK]).data
+                               for i in range(0, len(images), PREDICT_CHUNK)])
+
+
+def _feature_error(net, features, forces):
+    """_force_error from precomputed encoder features."""
+    with ad.no_grad():
+        pred = np.concatenate([net.regress(ad.Tensor(features[i:i + PREDICT_CHUNK])).data
+                               for i in range(0, len(features), PREDICT_CHUNK)])
+    return normalized_error(forces, pred)
+
+
 def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
              steps=200, lr=1e-5, batch_size=16, seed=0, holdout_frac=0.2):
     """Adapt a pretrained net to one profile's calibration samples.
@@ -177,7 +192,11 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
     Only parameters inside ``scope`` move; everything else is
     bit-identical afterwards. Head scopes train on the force loss
     alone; the full scope also keeps the depth reconstruction alive.
-    Returns a FinetuneReport with held-out error before and after.
+    Under a head scope the encoder is frozen, so every capture is
+    encoded once up front and the steps and the error readings run
+    the regressor on those cached features; the full scope runs the
+    whole net per step. Returns a FinetuneReport with held-out error
+    before and after.
     """
     if not samples:
         raise ContractError("no calibration samples")
@@ -192,20 +211,25 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
     hold_idx, fit_idx = order[:n_hold], order[n_hold:]
     if fit_idx.size == 0:
         raise ContractError("holdout fraction leaves no samples to fit")
-    images, forces, depths = _sample_arrays(samples, normalizer)
-
-    def hold_error(model):
-        if n_hold == 0:
-            return float("nan")
-        return _force_error(model, images[hold_idx], forces[hold_idx])
-
-    pre_error = hold_error(net)
-    pre_fit = _force_error(net, images[fit_idx], forces[fit_idx])
-
     named = net.named_params()
     scoped = scope_params(net, scope)
     frozen = [p for k, p in named.items() if k not in scoped]
     with_depth = scope is FinetuneScope.FULL
+    images, forces, depths = _sample_arrays(samples, normalizer)
+    if not with_depth:
+        features = _encode(net, images)
+
+    def error(idx):
+        if with_depth:
+            return _force_error(net, images[idx], forces[idx])
+        return _feature_error(net, features[idx], forces[idx])
+
+    def hold_error():
+        return error(hold_idx) if n_hold else float("nan")
+
+    pre_error = hold_error()
+    pre_fit = error(fit_idx)
+
     for p in frozen:
         p.requires_grad = False
     try:
@@ -217,7 +241,10 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
                 if done == steps:
                     break
                 sel = epoch_order[start:start + batch_size]
-                force_pred, depth_pred = net.forward(images[sel], with_depth=with_depth)
+                if with_depth:
+                    force_pred, depth_pred = net.forward(images[sel])
+                else:
+                    force_pred = net.regress(ad.Tensor(features[sel]))
                 l_f = loss_force(ad.Tensor(forces[sel]), force_pred)
                 if with_depth:
                     l_d = loss_depth(ad.Tensor(depths[sel][:, None]), depth_pred)
@@ -233,9 +260,8 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
             p.requires_grad = True
 
     return FinetuneReport(scope=scope, steps=steps,
-                          pre_error=pre_error, post_error=hold_error(net),
-                          pre_fit_error=pre_fit,
-                          post_fit_error=_force_error(net, images[fit_idx], forces[fit_idx]))
+                          pre_error=pre_error, post_error=hold_error(),
+                          pre_fit_error=pre_fit, post_fit_error=error(fit_idx))
 
 
 def catastrophic_forgetting_check(net_before, net_after, eval_sets):

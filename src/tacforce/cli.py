@@ -149,12 +149,24 @@ def _load_net(path):
     norm = arrays.get("meta.normalizer")
     if meta is None or norm is None:
         raise FormatError(f"checkpoint {path!r} lacks the meta.* records")
-    config = ModelConfig(input_size=int(meta[0]), patch_size=int(meta[1]),
-                         embed_dim=int(meta[2]), depth=int(meta[3]),
-                         heads=int(meta[4]), mlp_ratio=int(meta[5]),
-                         decoder_channels=int(meta[6]),
-                         encoder=_ENCODERS[int(meta[7])])
-    net = ForceNet(config, seed=0)
+    if (meta.shape != (8,) or not np.isfinite(meta).all()
+            or (meta != np.round(meta)).any()):
+        raise FormatError(f"checkpoint {path!r}: meta.model must hold 8 whole numbers, "
+                          f"got shape {meta.shape}")
+    if norm.shape != (3,):
+        raise FormatError(f"checkpoint {path!r}: meta.normalizer must hold 3 numbers, "
+                          f"got shape {norm.shape}")
+    fields = [int(v) for v in meta]
+    if not 0 <= fields[7] < len(_ENCODERS):
+        raise FormatError(f"checkpoint {path!r}: unknown encoder index {fields[7]}")
+    try:
+        config = ModelConfig(input_size=fields[0], patch_size=fields[1],
+                             embed_dim=fields[2], depth=fields[3], heads=fields[4],
+                             mlp_ratio=fields[5], decoder_channels=fields[6],
+                             encoder=_ENCODERS[fields[7]])
+        net = ForceNet(config, seed=0)
+    except ContractError as exc:
+        raise FormatError(f"checkpoint {path!r}: invalid meta.model: {exc}") from None
     load_model(path, net.named_params())
     normalizer = ds.DepthNormalizer(float(norm[0]), float(norm[1]), float(norm[2]))
     return net, normalizer, config

@@ -331,6 +331,8 @@ def load(path):
     for k in range(count):
         raw, off = _need(blob, off, 4, f"record {k} dims")
         h, w = struct.unpack("<HH", raw)
+        if h == 0 or w == 0:
+            raise FormatError(f"record {k} has an empty {h}x{w} image", offset=off - 4)
         raw, off = _need(blob, off, h * w * 3, f"record {k} image")
         image = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
         raw, off = _need(blob, off, 4 * h * w, f"record {k} depth map")
@@ -341,6 +343,12 @@ def load(path):
         pose = np.frombuffer(raw, dtype="<f4")
         raw, off = _need(blob, off, 4, f"record {k} ids")
         indenter_id, profile_id = struct.unpack("<HH", raw)
+        if indenter_id >= len(INDENTER_NAMES):
+            raise FormatError(f"record {k} has unknown indenter id {indenter_id}",
+                              offset=off - 4)
+        if profile_id >= len(PROFILE_NAMES):
+            raise FormatError(f"record {k} has unknown profile id {profile_id}",
+                              offset=off - 2)
         samples.append(TactileSample(image=image.copy(), depth=depth.copy(),
                                      force=force.copy(), pose=pose.copy(),
                                      indenter_id=indenter_id, profile_id=profile_id))

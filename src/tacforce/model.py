@@ -36,6 +36,9 @@ class ModelConfig:
     encoder: str = "vit"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            if field.type is int and getattr(self, field.name) < 1:
+                raise ContractError(f"{field.name} must be positive")
         if self.input_size % self.patch_size != 0:
             raise ContractError("input size must be divisible by the patch size")
         if self.embed_dim % self.heads != 0:
@@ -44,9 +47,6 @@ class ModelConfig:
             raise ContractError("decoder upsamples 16x; input size must be a multiple of 16")
         if self.encoder not in ("vit", "conv"):
             raise ContractError(f"unknown encoder kind {self.encoder!r}")
-        for field in dataclasses.fields(self):
-            if field.type is int and getattr(self, field.name) < 1:
-                raise ContractError(f"{field.name} must be positive")
 
     @property
     def n_patches(self):

@@ -19,6 +19,7 @@ the background exactly.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -195,6 +196,26 @@ def sphere_normal_force(radius, depth, stiffness):
     return float(stiffness * np.pi * depth * depth * (radius - depth / 3.0))
 
 
+@functools.lru_cache(maxsize=256)
+def _inversion_table(indenter, pose, profile):
+    """Tabulated full-depth contact of an untilted tool, for inversion.
+
+    Returns read-only (csum, engaged_at), the displaced column-sum
+    capacity at full depth and the contact's pixel area (pitch * pitch).
+    """
+    d0 = profile.gel_thickness
+    contact = compute_contact(indenter, pose, d0, profile=profile)
+    delta = contact.penetration[contact.mask]
+    heights = np.sort(d0 - delta)
+    csum = np.concatenate([[0.0], np.cumsum(heights)])
+    counts = np.arange(len(heights) + 1)
+    # displaced column-sum when the tool face reaches height[m]
+    engaged_at = counts[1:] * heights - csum[1:]
+    csum.flags.writeable = False
+    engaged_at.flags.writeable = False
+    return csum, engaged_at, delta.sum(), contact.pixel_area
+
+
 def depth_for_normal_force(indenter, pose, profile, fz):
     """Invert the foundation model: depth that yields raw load fz.
 
@@ -203,6 +224,10 @@ def depth_for_normal_force(indenter, pose, profile, fz):
     fixed per-pixel height h_i, and the displaced volume is piecewise
     linear in d, so the inversion is exact. fz is the *unquantized*
     normal force normal_stiffness * volume.
+
+    The sorted heights depend only on (indenter, pose, profile), so
+    they are simulated once per such triple and cached; only the
+    final search runs per call.
     """
     pose = pose if isinstance(pose, ToolPose) else ToolPose.from_array(np.asarray(pose))
     if pose.roll != 0.0 or pose.pitch != 0.0:
@@ -211,18 +236,11 @@ def depth_for_normal_force(indenter, pose, profile, fz):
         raise ContractError("normal force cannot be negative")
     if fz == 0.0:
         return 0.0
-    d0 = profile.gel_thickness
-    contact = compute_contact(indenter, pose, d0, profile=profile)
-    delta = contact.penetration[contact.mask]
-    target = fz / (profile.normal_stiffness * contact.pixel_area)
-    if target > delta.sum():
+    csum, engaged_at, capacity, pixel_area = _inversion_table(indenter, pose, profile)
+    target = fz / (profile.normal_stiffness * pixel_area)
+    if target > capacity:
         raise SafetyError(
             f"{fz:.3f} N needs more volume than the gel offers at this pose")
-    heights = np.sort(d0 - delta)
-    csum = np.concatenate([[0.0], np.cumsum(heights)])
-    counts = np.arange(len(heights) + 1)
-    # displaced column-sum when the tool face reaches height[m]
-    engaged_at = counts[1:] * heights - csum[1:]
     m = int(np.searchsorted(engaged_at, target, side="right"))
     m = max(m, 1)
     return float((target + csum[m]) / m)

@@ -211,7 +211,13 @@ def train(data, net, cfg):
 
 # -- evaluation -------------------------------------------------------------
 
-def model_estimator(net, chunk=64):
+# rows per no-tape inference pass; a BLAS may round a 2-D GEMM
+# differently with its row count, so every reading of a model's error
+# uses the same chunking
+PREDICT_CHUNK = 64
+
+
+def model_estimator(net, chunk=PREDICT_CHUNK):
     """Batched no-tape force predictor for a trained network."""
     def predict(cell):
         images = np.asarray(cell["images"], dtype=np.float64)

@@ -5,11 +5,14 @@ inputs: build a scalar loss from the op output, compare analytic grads
 against (f(x+h) - f(x-h)) / 2h per scalar entry.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from tacforce import autodiff as ad
 from tacforce.errors import ContractError, ShapeError
+from tacforce.training import loss_depth
 
 
 def numeric_grad(fn, arrays, idx, h=1e-4):
@@ -91,6 +94,23 @@ class TestElementwise:
 
     def test_sqrt(self, rng):
         check_op(lambda a: ad.sqrt(a).sum(), [(6,)], rng, wiggle=lambda i, a: np.abs(a) + 0.5)
+
+    def test_sqrt_grad_at_zero_is_zero(self):
+        a = ad.Tensor(np.array([0.0, 4.0, 0.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.backward(ad.sqrt(a).sum())
+        np.testing.assert_array_equal(a.grad, [0.0, 0.25, 0.0])
+
+    def test_depth_loss_on_exact_fit_has_finite_grads(self):
+        depth = np.linspace(0.0, 1.0, 2 * 4 * 4).reshape(2, 1, 4, 4)
+        pred = ad.Tensor(depth.copy(), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = loss_depth(ad.Tensor(depth), pred)
+            ad.backward(loss)
+        assert float(loss.data) == 0.0
+        assert np.isfinite(pred.grad).all()
 
     def test_mixed_chain(self, rng):
         check_op(lambda a, b: (ad.square(a) * b - a).mean(), [(4, 3), (4, 3)], rng)

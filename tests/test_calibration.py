@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from tacforce.calibration import (CalibrationRig, FinetuneScope,
+from tacforce import autodiff as ad
+from tacforce.calibration import (CalibrationRig, FinetuneScope, _sample_arrays,
                                   catastrophic_forgetting_check,
                                   collect_calibration, default_scope, finetune,
-                                  rig_sample, sphere_depth_for_force)
+                                  rig_sample, scope_params, sphere_depth_for_force)
 from tacforce.dataset import DepthNormalizer
 from tacforce.errors import ContractError
 from tacforce.indenters import INDENTER_IDS
 from tacforce.model import ForceNet, ModelConfig
+from tacforce.optim import Adam
 from tacforce.profiles import PROFILE_IDS, get_profile
 from tacforce.sensor import GRAVITY_MS2, quantize, sphere_normal_force
+from tacforce.training import loss_force, loss_total, model_estimator, normalized_error
 
 TINY = ModelConfig(embed_dim=16, depth=1, heads=2, decoder_channels=8)
 DIGIT = get_profile("digit")
@@ -171,6 +174,80 @@ class TestFinetune:
     def test_default_scopes(self):
         assert default_scope("digit") is FinetuneScope.REGRESSOR_HEAD
         assert default_scope("sensor1-gel2") is FinetuneScope.FINAL_LAYER
+
+
+def reference_finetune(net, samples, normalizer, scope, steps, lr, seed):
+    """Head-scope finetune as a plain loop that runs the whole net on every
+    batch and reads errors through model_estimator (batch 16, holdout 0.2)."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(samples))
+    n_hold = int(round(0.2 * len(samples)))
+    hold_idx, fit_idx = order[:n_hold], order[n_hold:]
+    images, forces, _ = _sample_arrays(samples, normalizer)
+
+    def error(idx):
+        return normalized_error(forces[idx], model_estimator(net)({"images": images[idx]}))
+
+    pre = (error(hold_idx), error(fit_idx))
+    scoped = scope_params(net, scope)
+    frozen = [p for k, p in net.named_params().items() if k not in scoped]
+    for p in frozen:
+        p.requires_grad = False
+    opt = Adam([{"params": list(scoped.values()), "lr": lr}])
+    done = 0
+    while done < steps:
+        epoch_order = fit_idx[rng.permutation(len(fit_idx))]
+        for start in range(0, len(epoch_order), 16):
+            if done == steps:
+                break
+            sel = epoch_order[start:start + 16]
+            force_pred, _ = net.forward(images[sel], with_depth=False)
+            l_f = loss_force(ad.Tensor(forces[sel]), force_pred)
+            total = loss_total(l_f, ad.Tensor(0.0), 1.0, 0.0)
+            opt.zero_grad()
+            ad.backward(total)
+            opt.step()
+            done += 1
+    for p in frozen:
+        p.requires_grad = True
+    return pre + (error(hold_idx), error(fit_idx))
+
+
+class TestHeadScopeFeatureCache:
+    @pytest.mark.parametrize("scope", [FinetuneScope.FINAL_LAYER,
+                                       FinetuneScope.REGRESSOR_HEAD])
+    def test_matches_per_batch_forward_bit_for_bit(self, calib_samples, scope):
+        norm = DepthNormalizer.identity()
+        net, ref = ForceNet(TINY, seed=5), ForceNet(TINY, seed=5)
+        report = finetune(net, calib_samples, norm, scope=scope, steps=12, lr=1e-3,
+                          seed=6)
+        pre_hold, pre_fit, post_hold, post_fit = reference_finetune(
+            ref, calib_samples, norm, scope, steps=12, lr=1e-3, seed=6)
+        assert (report.pre_error, report.pre_fit_error) == (pre_hold, pre_fit)
+        assert (report.post_error, report.post_fit_error) == (post_hold, post_fit)
+        assert report.steps == 12 and report.scope is scope
+        got, want = snapshot(net), snapshot(ref)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+        untouched = snapshot(ForceNet(TINY, seed=5))
+        assert not np.array_equal(got["regressor.out.weight"],
+                                  untouched["regressor.out.weight"])
+
+    def test_encoder_calls_do_not_grow_with_steps(self, calib_samples):
+        counts = []
+        for steps in (1, 30):
+            net = ForceNet(TINY, seed=7)
+            calls = []
+
+            def counting_encode(images, encode=net.encode, calls=calls):
+                calls.append(len(images))
+                return encode(images)
+
+            net.encode = counting_encode
+            finetune(net, calib_samples, DepthNormalizer.identity(),
+                     scope=FinetuneScope.REGRESSOR_HEAD, steps=steps, lr=1e-3)
+            counts.append(calls)
+        assert counts[0] == counts[1]
+        assert sum(counts[0]) == len(calib_samples)
 
 
 class TestForgettingCheck:

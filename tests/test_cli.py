@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import tacforce.errors as errors_mod
+from tacforce.checkpoint import load_arrays, save_arrays
 from tacforce.cli import EXIT_CODES, RunConfig, _load_net, build_parser, main
 from tacforce.dataset import load
-from tacforce.errors import ContractError, TacforceError
+from tacforce.errors import ContractError, FormatError, TacforceError
 from tacforce.model import ForceNet
 from tacforce.sensor import GRAVITY_MS2
 
@@ -227,6 +228,42 @@ class TestCalibrate:
                    "--scope", "final-layer"])
         assert rc == 0
         assert ",final-layer," in (tmp_path / "calibration.csv").read_text()
+
+
+class TestCheckpointMetadata:
+    """Bad meta.model records map to FormatError (exit 7), not a traceback."""
+
+    @staticmethod
+    def _with_record(workdir, tmp_path, name, edit):
+        """The trained checkpoint with record ``name`` replaced by edit(its list)."""
+        arrays = load_arrays(str(workdir["checkpoint"]))
+        arrays[name] = np.asarray(edit(arrays[name].tolist()), dtype=np.float64)
+        path = tmp_path / "bad.fafw"
+        save_arrays(str(path), arrays)
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m[:7],
+        lambda m: m[:7] + [5.0],
+        lambda m: m[:7] + [-1.0],
+        lambda m: [m[0], 0.0] + m[2:],
+        lambda m: [m[0], 5.0] + m[2:],
+        lambda m: m[:4] + [0.0] + m[5:],
+        lambda m: m[:2] + [float("nan")] + m[3:],
+    ], ids=["short", "encoder-5", "encoder-minus-1", "patch-0", "patch-indivisible",
+            "heads-0", "nan-embed"])
+    def test_rejected_as_format_error(self, workdir, tmp_path, edit):
+        path = self._with_record(workdir, tmp_path, "meta.model", edit)
+        with pytest.raises(FormatError):
+            _load_net(str(path))
+        rc = main(["calibrate", "--checkpoint", str(path), "--out", str(tmp_path / "out"),
+                   "--steps", "1", "--samples", "8"])
+        assert rc == EXIT_CODES[FormatError]
+
+    def test_short_normalizer_rejected(self, workdir, tmp_path):
+        path = self._with_record(workdir, tmp_path, "meta.normalizer", lambda n: n[:2])
+        with pytest.raises(FormatError, match="meta.normalizer"):
+            _load_net(str(path))
 
 
 class TestTasks:

@@ -11,6 +11,7 @@ Frozen expectations:
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from tacforce import dataset as ds
 from tacforce import sensor as sen
 from tacforce.errors import ContractError, FormatError, ShapeError
 from tacforce.geometry import PoseRange
-from tacforce.indenters import INDENTER_IDS, get_indenter
-from tacforce.profiles import PROFILE_IDS, get_profile
+from tacforce.indenters import INDENTER_IDS, INDENTER_NAMES, get_indenter
+from tacforce.profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
 
 GEL1 = get_profile("sensor1-gel1")
 
@@ -324,6 +325,40 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError, match="trailing"):
             ds.load(path)
+
+    @staticmethod
+    def _second_record(tmp_path, patch_at, fmt, *values):
+        """Store two samples and overwrite bytes of the second record, at
+        ``patch_at`` from its start (or, if negative, from the file's end).
+        Returns the path and the absolute offset written."""
+        rng = np.random.default_rng(13)
+        path = tmp_path / "r.faf"
+        ds.store([make_sample(rng), make_sample(rng)], path)
+        blob = bytearray(path.read_bytes())
+        start = 10 + (len(blob) - 10) // 2  # after the 10-byte header and record 0
+        at = start + patch_at if patch_at >= 0 else len(blob) + patch_at
+        struct.pack_into(fmt, blob, at, *values)
+        path.write_bytes(bytes(blob))
+        return path, at
+
+    @pytest.mark.parametrize("dims", [(0, 16), (12, 0)])
+    def test_empty_image_rejected(self, tmp_path, dims):
+        path, at = self._second_record(tmp_path, 0, "<HH", *dims)
+        with pytest.raises(FormatError, match="record 1 has an empty") as err:
+            ds.load(path)
+        assert err.value.offset == at
+
+    def test_unknown_indenter_id_rejected(self, tmp_path):
+        path, at = self._second_record(tmp_path, -4, "<H", len(INDENTER_NAMES))
+        with pytest.raises(FormatError, match="record 1 has unknown indenter id") as err:
+            ds.load(path)
+        assert err.value.offset == at
+
+    def test_unknown_profile_id_rejected(self, tmp_path):
+        path, at = self._second_record(tmp_path, -2, "<H", len(PROFILE_NAMES))
+        with pytest.raises(FormatError, match="record 1 has unknown profile id") as err:
+            ds.load(path)
+        assert err.value.offset == at
 
 
 class TestGenerate:

@@ -79,6 +79,11 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             ModelConfig(depth=0)
 
+    @pytest.mark.parametrize("field", ["patch_size", "heads"])
+    def test_zero_divisor_is_a_contract_error(self, field):
+        with pytest.raises(ContractError, match=f"{field} must be positive"):
+            ModelConfig(**{field: 0})
+
 
 class TestForceNet:
     def test_param_count_default(self):

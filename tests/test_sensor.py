@@ -291,3 +291,61 @@ class TestRendering:
         other, _ = sen.render_tactile(c, profile, rng_seed=6)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, other)
+
+
+class TestForceInversion:
+    DIGIT = get_profile("digit")
+
+    def test_round_trips_the_foundation_load(self):
+        for name in ("big_sphere", "cube", "cone", "ring"):
+            tool = get_indenter(name)
+            pose = center_pose(x=0.5, y=-0.25, yaw=20.0)
+            for fz in (0.3, 0.9, 1.5):  # the cone takes 1.77 N at full depth
+                d = sen.depth_for_normal_force(tool, pose, self.DIGIT, fz)
+                contact = sen.compute_contact(tool, pose, d, profile=self.DIGIT)
+                load = self.DIGIT.normal_stiffness * contact.displaced_volume
+                assert load == pytest.approx(fz, rel=1e-9), name
+
+    def test_same_depth_after_cache_clear(self):
+        tool, pose = get_indenter("cube"), center_pose(x=1.0, yaw=15.0)
+        cached = [sen.depth_for_normal_force(tool, pose, self.DIGIT, fz) for fz in (0.5, 3.0)]
+        sen._inversion_table.cache_clear()
+        fresh = [sen.depth_for_normal_force(tool, pose, self.DIGIT, fz) for fz in (0.5, 3.0)]
+        assert cached == fresh
+
+    def test_one_simulation_per_tool_pose_profile(self, monkeypatch):
+        calls = []
+
+        def counting_contact(*args, compute_contact=sen.compute_contact, **kwargs):
+            calls.append(args[:2])
+            return compute_contact(*args, **kwargs)
+
+        monkeypatch.setattr(sen, "compute_contact", counting_contact)
+        sen._inversion_table.cache_clear()
+        try:
+            tool = get_indenter("big_sphere")
+            for fz in (0.2, 1.0, 4.0, 1.0):
+                sen.depth_for_normal_force(tool, center_pose(), self.DIGIT, fz)
+            sen.depth_for_normal_force(tool, center_pose(y=1.0), self.DIGIT, 1.0)
+        finally:
+            sen._inversion_table.cache_clear()
+        assert len(calls) == 2
+
+    def test_cached_tables_are_read_only(self):
+        csum, engaged_at, _, _ = sen._inversion_table(get_indenter("wedge"), center_pose(),
+                                                      self.DIGIT)
+        assert not csum.flags.writeable and not engaged_at.flags.writeable
+        with pytest.raises(ValueError):
+            csum[0] = 1.0
+
+    def test_rejections(self):
+        tool = get_indenter("cube")
+        with pytest.raises(ContractError, match="untilted"):
+            sen.depth_for_normal_force(tool, center_pose(roll=2.0), self.DIGIT, 1.0)
+        with pytest.raises(ContractError, match="negative"):
+            sen.depth_for_normal_force(tool, center_pose(), self.DIGIT, -1.0)
+        assert sen.depth_for_normal_force(tool, center_pose(x=20.0), self.DIGIT, 0.0) == 0.0
+        with pytest.raises(SafetyError, match="safe"):
+            sen.depth_for_normal_force(tool, center_pose(x=20.0), self.DIGIT, 1.0)
+        with pytest.raises(SafetyError, match="more volume"):
+            sen.depth_for_normal_force(tool, center_pose(), self.DIGIT, 1e4)
