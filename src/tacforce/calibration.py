@@ -14,15 +14,15 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import autodiff as ad
-from .dataset import TactileSample, preprocess
+from .dataset import TactileSample
 from .errors import ContractError
 from .indenters import INDENTER_IDS, get_indenter
 from .optim import Adam
-from .profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
+from .profiles import PROFILE_IDS
 from .sensor import (GRAVITY_MS2, ToolPose, compute_contact, quantize,
                      render_tactile, sphere_normal_force)
-from .training import (PREDICT_CHUNK, loss_depth, loss_force, loss_total,
-                       model_estimator, normalized_error)
+from .training import (loss_depth, loss_force, loss_total, make_training_arrays,
+                       model_estimator, normalized_error, predict_in_chunks)
 
 SPHERE_RADIUS_MM = 8.0
 
@@ -152,36 +152,18 @@ class FinetuneReport:
     post_fit_error: float
 
 
-def _sample_arrays(samples, normalizer):
-    backgrounds = {}
-    images, forces, depths = [], [], []
-    for s in samples:
-        if s.profile_id not in backgrounds:
-            profile = get_profile(PROFILE_NAMES[s.profile_id])
-            backgrounds[s.profile_id] = profile.background(*s.image.shape[:2])
-        t, d = preprocess(s.image, backgrounds[s.profile_id], s.depth, normalizer)
-        images.append(t)
-        forces.append(s.force.astype(np.float64))
-        depths.append(d)
-    return np.stack(images), np.stack(forces), np.stack(depths)
-
-
 def _force_error(net, images, forces):
     return normalized_error(forces, model_estimator(net)({"images": images}))
 
 
 def _encode(net, images):
     """Encoder features of every image, no tape, in PREDICT_CHUNK-row passes."""
-    with ad.no_grad():
-        return np.concatenate([net.encode(images[i:i + PREDICT_CHUNK]).data
-                               for i in range(0, len(images), PREDICT_CHUNK)])
+    return predict_in_chunks(lambda x: net.encode(x).data, images)
 
 
 def _feature_error(net, features, forces):
     """_force_error from precomputed encoder features."""
-    with ad.no_grad():
-        pred = np.concatenate([net.regress(ad.Tensor(features[i:i + PREDICT_CHUNK])).data
-                               for i in range(0, len(features), PREDICT_CHUNK)])
+    pred = predict_in_chunks(lambda f: net.regress(ad.Tensor(f)).data, features)
     return normalized_error(forces, pred)
 
 
@@ -215,7 +197,8 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
     scoped = scope_params(net, scope)
     frozen = [p for k, p in named.items() if k not in scoped]
     with_depth = scope is FinetuneScope.FULL
-    images, forces, depths = _sample_arrays(samples, normalizer)
+    arrays = make_training_arrays(samples, normalizer, size=net.config.input_size)
+    images, forces, depths = arrays["images"], arrays["forces"], arrays["depths"]
     if not with_depth:
         features = _encode(net, images)
 

@@ -176,13 +176,13 @@ def _save_net(path, net, config, normalizer):
     save_model(path, net.named_params(), extra=_meta_arrays(config, normalizer))
 
 
-def _eval_cells(samples, normalizer, input_size=32):
+def _eval_cells(samples, normalizer, size=32):
     """Group samples into named (profile, tool) cells of model-ready arrays."""
     groups = {}
     for s in samples:
         name = f"{PROFILE_NAMES[s.profile_id]}/{INDENTER_NAMES[s.indenter_id]}"
         groups.setdefault(name, []).append(s)
-    return {name: make_training_arrays(group, normalizer, input_size=input_size)
+    return {name: make_training_arrays(group, normalizer, size=size)
             for name, group in sorted(groups.items())}
 
 
@@ -225,8 +225,7 @@ def cmd_dataset_gen(rc, args):
     else:
         samples = ds.generate_dataset(tools, list(rc.profiles), args.count,
                                       pose_range=pose_range, step=args.step,
-                                      f_max=args.f_max, seed=rc.seed,
-                                      workers=args.workers)
+                                      f_max=args.f_max, seed=rc.seed)
     ds.store(samples, rc.path("dataset.faf"))
     report = ds.stats(samples, bin_width=args.bin)
     write_csv(rc.path("histogram.csv"), ("tool", "bin_lo_n", "bin_hi_n", "count"),
@@ -267,8 +266,8 @@ def cmd_dataset_stats(rc, args):
 def cmd_train(rc, args):
     samples = ds.load(rc.data)
     normalizer = ds.DepthNormalizer.from_samples(samples)
-    data = make_training_arrays(samples, normalizer)
     config = _model_config(rc)
+    data = make_training_arrays(samples, normalizer, size=config.input_size)
     cfg = _train_config(rc, args)
     net = ForceNet(config, seed=rc.seed)
     curve = train(data, net, cfg)
@@ -309,7 +308,7 @@ def cmd_eval(rc, args):
         seen = {}
         for path in rc.checkpoints:
             net, normalizer, config = _load_net(path)
-            cells = _eval_cells(samples, normalizer, input_size=config.input_size)
+            cells = _eval_cells(samples, normalizer, size=config.input_size)
             report = evaluate(cells, model_estimator(net))
             stem = os.path.splitext(os.path.basename(path))[0]
             seen[stem] = seen.get(stem, 0) + 1
@@ -357,8 +356,7 @@ def cmd_calibrate(rc, args):
     print(f"{profile_name} ({scope.value}, {report.steps} steps): "
           f"held-out force error {report.pre_error:.6g} -> {report.post_error:.6g} N")
     if rc.data:
-        cells = _eval_cells(ds.load(rc.data), normalizer,
-                            input_size=config.input_size)
+        cells = _eval_cells(ds.load(rc.data), normalizer, size=config.input_size)
         deltas = catastrophic_forgetting_check(net_before, net, cells)
         write_csv(rc.path("forgetting.csv"), ("cell", "error_increment_frac"),
                   sorted(deltas.items()))
@@ -437,7 +435,6 @@ def _epilog():
     for klass, code in sorted(EXIT_CODES.items(), key=lambda kv: kv[1]):
         lines.append(f"  {code}  {klass.__name__}: {klass.__doc__.splitlines()[0]}")
     lines.append("  1  unexpected failure, 2  usage error")
-    lines.append("env: FAF_THREADS bounds dataset worker pools")
     return "\n".join(lines)
 
 
@@ -469,7 +466,6 @@ def build_parser():
     p_gen.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N)
     p_gen.add_argument("--pose-range", type=float, nargs=5, default=None,
                        metavar=("X", "Y", "ROLL", "PITCH", "YAW"))
-    p_gen.add_argument("--workers", type=int, default=None)
 
     p_bal = dsub.add_parser("balance", parents=[common],
                             help="cap per-bin counts at the median")

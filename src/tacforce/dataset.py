@@ -22,9 +22,7 @@ counts per tool and per profile; ``load`` never needs it.
 
 import dataclasses
 import json
-import os
 import struct
-from concurrent import futures
 
 import numpy as np
 from scipy import ndimage
@@ -204,13 +202,14 @@ def _resize_bilinear(img, out_h, out_w):
     return np.stack(chans, axis=-1)
 
 
-def preprocess(image, background, depth, normalizer, input_size=32, output_size=32):
-    """Model-ready (T', D') from a raw sample.
+def preprocess(image, background, depth, normalizer, size=32):
+    """Model-ready (T', D') from a raw sample, both size x size.
 
     The image is background-subtracted into f64 [-1, 1], zero-padded to
-    a square on its short side, and bilinear-resized (corner-aligned) to
-    input_size. The depth map is value-normalized and resized directly
-    to output_size; it carries no background and needs no padding.
+    a square on its short side, and bilinear-resized (corner-aligned).
+    The depth map is value-normalized and resized directly; it carries
+    no background and needs no padding. One size serves both, since the
+    decoder reconstructs depth at the encoder's input size.
     """
     image = np.asarray(image)
     background = np.asarray(background)
@@ -230,9 +229,9 @@ def preprocess(image, background, depth, normalizer, input_size=32, output_size=
     top = (side - h) // 2
     left = (side - w) // 2
     padded[top:top + h, left:left + w] = diff
-    t_out = _resize_bilinear(padded, input_size, input_size)
+    t_out = _resize_bilinear(padded, size, size)
 
-    d_out = _resize_bilinear(normalizer.normalize(depth), output_size, output_size)
+    d_out = _resize_bilinear(normalizer.normalize(depth), size, size)
     return t_out, d_out
 
 
@@ -360,44 +359,29 @@ def load(path):
 
 # -- bulk generation --------------------------------------------------------
 
-def worker_count(requested=None):
-    """Worker pool size, bounded by the FAF_THREADS environment variable."""
-    limit = os.environ.get("FAF_THREADS")
-    limit = int(limit) if limit else (os.cpu_count() or 1)
-    if limit < 1:
-        raise ContractError(f"FAF_THREADS must be >= 1, got {limit}")
-    return max(1, min(requested or limit, limit))
+def worker_count():
+    """Threads `generate_dataset` runs on: always 1, the calling thread."""
+    return 1
 
 
 def generate_dataset(indenter_names, profile_names_, n_poses, pose_range=None,
-                     step=DEFAULT_STEP_MM, f_max=DEFAULT_FORCE_LIMIT_N, seed=0,
-                     workers=None):
+                     step=DEFAULT_STEP_MM, f_max=DEFAULT_FORCE_LIMIT_N, seed=0):
     """Simulate trajectories for every (tool, profile) pair.
 
     Poses are drawn once per pair from ``pose_range`` with a seed
-    derived from ``seed``, and the independent (tool, profile, pose)
-    jobs run on a thread pool. Results always come back in job order,
-    so output is deterministic regardless of scheduling.
+    derived from ``seed``, and the (tool, profile, pose) trajectories
+    run one after another in that order, so the output is deterministic.
     """
     pose_range = pose_range or PoseRange()
-    jobs = []
     root = np.random.SeedSequence(seed)
+    out = []
     for tool_name in indenter_names:
         for profile_name in profile_names_:
             pair_seed = root.spawn(1)[0]
-            poses = sample_poses(pose_range, n_poses, pair_seed)
-            for p in poses:
-                jobs.append((tool_name, profile_name, p))
-
-    def run(job):
-        tool_name, profile_name, p = job
-        return run_indentation(get_indenter(tool_name), p, get_profile(profile_name),
-                               step=step, f_max=f_max)
-
-    out = []
-    with futures.ThreadPoolExecutor(max_workers=worker_count(workers)) as pool:
-        for traj in pool.map(run, jobs):
-            out.extend(traj)
+            for p in sample_poses(pose_range, n_poses, pair_seed):
+                out.extend(run_indentation(get_indenter(tool_name), p,
+                                           get_profile(profile_name),
+                                           step=step, f_max=f_max))
     return out
 
 

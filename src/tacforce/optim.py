@@ -2,8 +2,7 @@
 
 Groups let the caller run different learning rates for different parts
 of the model (backbone vs. heads). Moment buffers are allocated lazily
-per parameter and survive across steps; `state_arrays` exposes them for
-checkpointing.
+per parameter and survive across steps.
 """
 
 import numpy as np
@@ -73,30 +72,3 @@ class Adam:
                 vhat = v / bc2
                 p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def state_arrays(self):
-        """Flat name->array view of moment buffers plus the step counter.
-
-        Order follows group order then parameter order, so the mapping is
-        stable for serialization.
-        """
-        out = {"adam.t": np.array([float(self.t)])}
-        idx = 0
-        for g in self.groups:
-            for p in g["params"]:
-                key = id(p)
-                if key in self._m:
-                    out[f"adam.m.{idx}"] = self._m[key]
-                    out[f"adam.v.{idx}"] = self._v[key]
-                idx += 1
-        return out
-
-    def load_state_arrays(self, arrays):
-        self.t = int(arrays["adam.t"][0])
-        idx = 0
-        for g in self.groups:
-            for p in g["params"]:
-                mk = f"adam.m.{idx}"
-                if mk in arrays:
-                    self._m[id(p)] = np.asarray(arrays[mk], dtype=np.float64).reshape(p.data.shape)
-                    self._v[id(p)] = np.asarray(arrays[f"adam.v.{idx}"], dtype=np.float64).reshape(p.data.shape)
-                idx += 1

@@ -6,19 +6,15 @@ friction cap, the force readout quantum, the light rig, and the resting
 background appearance. Built-in profiles cover a 3x3 grid of sensor
 bodies (light rigs) and gel sheets (stiffness + background tint), plus
 one compact two-light sensor with a much stiffer gel.
-
-Profiles can be written to and parsed from a small `key = value` text
-format so experiments can ship custom ones.
 """
 
 import dataclasses
 import functools
-import io
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ContractError, FormatError
+from .errors import ContractError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,100 +199,3 @@ def get_profile(name):
     except KeyError:
         raise KeyError(f"unknown profile {name!r}; choices: {', '.join(PROFILE_NAMES)}") from None
 
-
-# -- text format -----------------------------------------------------------
-
-_SCALAR_FIELDS = {
-    "normal_stiffness": float,
-    "shear_stiffness": float,
-    "friction": float,
-    "gel_thickness": float,
-    "force_quantum": float,
-    "width_mm": float,
-    "height_mm": float,
-    "width_px": int,
-    "height_px": int,
-    "background_seed": int,
-    "background_level": float,
-    "background_amplitude": float,
-    "noise_sigma": float,
-}
-
-
-def format_profile(profile):
-    buf = io.StringIO()
-    buf.write(f"name = {profile.name}\n")
-    for field in _SCALAR_FIELDS:
-        buf.write(f"{field} = {getattr(profile, field)!r}\n")
-    for lt in profile.lights:
-        color = ",".join(repr(float(c)) for c in lt.color)
-        buf.write(
-            f"light = az:{lt.azimuth!r} el:{lt.elevation!r} color:{color} gain:{lt.gain!r}\n"
-        )
-    return buf.getvalue()
-
-
-def parse_profile(text):
-    fields = {}
-    lights = []
-    name = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"profile line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "name":
-            name = value
-        elif key == "light":
-            lights.append(_parse_light(value, lineno))
-        elif key in _SCALAR_FIELDS:
-            try:
-                fields[key] = _SCALAR_FIELDS[key](value)
-            except ValueError:
-                raise FormatError(f"profile line {lineno}: bad value for {key}: {value!r}") from None
-        else:
-            raise FormatError(f"profile line {lineno}: unknown key {key!r}")
-    if name is None:
-        raise FormatError("profile has no 'name' line")
-    missing = [k for k in ("normal_stiffness", "shear_stiffness", "friction") if k not in fields]
-    if missing:
-        raise FormatError(f"profile {name!r} is missing required keys: {', '.join(missing)}")
-    try:
-        return SensorProfile(name=name, lights=tuple(lights), **fields)
-    except ContractError as exc:
-        raise FormatError(f"profile {name!r}: {exc}") from None
-
-
-def _parse_light(value, lineno):
-    parts = {}
-    for tok in value.split():
-        if ":" not in tok:
-            raise FormatError(f"profile line {lineno}: bad light token {tok!r}")
-        k, _, v = tok.partition(":")
-        parts[k] = v
-    try:
-        color = tuple(float(c) for c in parts["color"].split(","))
-        if len(color) != 3:
-            raise ValueError
-        return Light(
-            azimuth=float(parts["az"]),
-            elevation=float(parts["el"]),
-            color=color,
-            gain=float(parts["gain"]),
-        )
-    except (KeyError, ValueError):
-        raise FormatError(f"profile line {lineno}: light needs az, el, color (r,g,b), gain") from None
-
-
-def save_profile(path, profile):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_profile(profile))
-
-
-def load_profile(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile(fh.read())

@@ -15,12 +15,13 @@ import dataclasses
 
 import numpy as np
 
-from .dataset import TactileSample, preprocess
+from .dataset import TactileSample
 from .errors import ContractError, DegenerateInputError, SafetyError, TaskFailure
 from .indenters import INDENTER_IDS, INDENTER_NAMES, get_indenter
-from .profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
+from .profiles import PROFILE_IDS, get_profile
 from .sensor import (GRAVITY_MS2, ToolPose, compute_contact,
                      depth_for_normal_force, quantize, render_tactile)
+from .training import make_training_arrays, model_estimator
 
 STRAIN_PER_NEWTON = 0.0228 / 1.74  # rim strain per Newton of grip force
 
@@ -130,20 +131,16 @@ def oracle_readout_estimator(profile):
     return estimate
 
 
-def net_estimator(net, normalizer, chunk=64):
-    """Runs rendered frames through the preprocessing and the network."""
+def net_estimator(net, normalizer):
+    """Runs rendered frames through the preprocessing and the network.
+
+    The frames are assembled at the net's own `config.input_size`.
+    """
+    predict = model_estimator(net)
+
     def estimate(samples):
-        backgrounds = {}
-        tensors = []
-        for s in samples:
-            if s.profile_id not in backgrounds:
-                prof = get_profile(PROFILE_NAMES[s.profile_id])
-                backgrounds[s.profile_id] = prof.background(*s.image.shape[:2])
-            t, _ = preprocess(s.image, backgrounds[s.profile_id], s.depth, normalizer)
-            tensors.append(t)
-        images = np.stack(tensors)
-        return np.concatenate([net.predict_force(images[i:i + chunk])
-                               for i in range(0, len(images), chunk)])
+        return predict(make_training_arrays(samples, normalizer,
+                                            size=net.config.input_size))
     return estimate
 
 

@@ -94,11 +94,15 @@ def per_axis_mae(target, pred):
 
 # -- data assembly ----------------------------------------------------------
 
-def make_training_arrays(samples, normalizer, input_size=32, output_size=32):
+def make_training_arrays(samples, normalizer, size=32):
     """Preprocess raw samples into model-ready arrays.
 
-    Returns a dict with images (N, S, S, 3) in [-1, 1], forces (N, 3),
-    and depths (N, S, S) in [0, 1].
+    The one path from samples to network inputs: training, evaluation,
+    calibration and the task estimators all build their arrays here.
+    `size` must be the network's `config.input_size`; images and depths
+    both come out at it, since the decoder reconstructs depth at the
+    input size. Returns a dict with images (N, S, S, 3) in [-1, 1],
+    forces (N, 3), and depths (N, S, S) in [0, 1].
     """
     if not samples:
         raise ContractError("cannot assemble arrays from an empty sample list")
@@ -109,8 +113,7 @@ def make_training_arrays(samples, normalizer, input_size=32, output_size=32):
         if pid not in backgrounds:
             profile = get_profile(PROFILE_NAMES[pid])
             backgrounds[pid] = profile.background(*s.image.shape[:2])
-        t, d = dsmod.preprocess(s.image, backgrounds[pid], s.depth, normalizer,
-                                input_size=input_size, output_size=output_size)
+        t, d = dsmod.preprocess(s.image, backgrounds[pid], s.depth, normalizer, size=size)
         images.append(t)
         forces.append(s.force.astype(np.float64))
         depths.append(d)
@@ -119,13 +122,6 @@ def make_training_arrays(samples, normalizer, input_size=32, output_size=32):
         "forces": np.stack(forces),
         "depths": np.stack(depths),
     }
-
-
-def split_unseen(samples, unseen_tool_id):
-    """Partition samples into (seen, unseen) by indenter id."""
-    seen = [s for s in samples if s.indenter_id != unseen_tool_id]
-    unseen = [s for s in samples if s.indenter_id == unseen_tool_id]
-    return seen, unseen
 
 
 # -- the loop ---------------------------------------------------------------
@@ -212,19 +208,25 @@ def train(data, net, cfg):
 # -- evaluation -------------------------------------------------------------
 
 # rows per no-tape inference pass; a BLAS may round a 2-D GEMM
-# differently with its row count, so every reading of a model's error
-# uses the same chunking
+# differently with its row count, so every reading of a model's output
+# goes through `predict_in_chunks`
 PREDICT_CHUNK = 64
 
 
-def model_estimator(net, chunk=PREDICT_CHUNK):
+def predict_in_chunks(fn, rows):
+    """`fn` over PREDICT_CHUNK-row slices of `rows`, concatenated, no tape.
+
+    `fn` maps an array of rows to an array with one row per input row.
+    """
+    chunk = PREDICT_CHUNK
+    with ad.no_grad():
+        return np.concatenate([fn(rows[i:i + chunk]) for i in range(0, len(rows), chunk)])
+
+
+def model_estimator(net):
     """Batched no-tape force predictor for a trained network."""
-    def predict(cell):
-        images = np.asarray(cell["images"], dtype=np.float64)
-        outs = [net.predict_force(images[i:i + chunk])
-                for i in range(0, len(images), chunk)]
-        return np.concatenate(outs, axis=0)
-    return predict
+    return lambda cell: predict_in_chunks(
+        net.predict_force, np.asarray(cell["images"], dtype=np.float64))
 
 
 def oracle_estimator():

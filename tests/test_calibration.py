@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tacforce import autodiff as ad
-from tacforce.calibration import (CalibrationRig, FinetuneScope, _sample_arrays,
+from tacforce.calibration import (CalibrationRig, FinetuneScope,
                                   catastrophic_forgetting_check,
                                   collect_calibration, default_scope, finetune,
                                   rig_sample, scope_params, sphere_depth_for_force)
@@ -13,7 +13,8 @@ from tacforce.model import ForceNet, ModelConfig
 from tacforce.optim import Adam
 from tacforce.profiles import PROFILE_IDS, get_profile
 from tacforce.sensor import GRAVITY_MS2, quantize, sphere_normal_force
-from tacforce.training import loss_force, loss_total, model_estimator, normalized_error
+from tacforce.training import (loss_force, loss_total, make_training_arrays,
+                               model_estimator, normalized_error)
 
 TINY = ModelConfig(embed_dim=16, depth=1, heads=2, decoder_channels=8)
 DIGIT = get_profile("digit")
@@ -183,7 +184,8 @@ def reference_finetune(net, samples, normalizer, scope, steps, lr, seed):
     order = rng.permutation(len(samples))
     n_hold = int(round(0.2 * len(samples)))
     hold_idx, fit_idx = order[:n_hold], order[n_hold:]
-    images, forces, _ = _sample_arrays(samples, normalizer)
+    arrays = make_training_arrays(samples, normalizer)
+    images, forces = arrays["images"], arrays["forces"]
 
     def error(idx):
         return normalized_error(forces[idx], model_estimator(net)({"images": images[idx]}))

@@ -52,7 +52,6 @@ class TestExitCodes:
         text = build_parser().format_help()
         for klass, code in EXIT_CODES.items():
             assert f"{code}  {klass.__name__}" in text
-        assert "FAF_THREADS" in text
 
 
 class TestRunConfig:
@@ -305,3 +304,29 @@ class TestTasks:
                    "--checkpoint", str(workdir["checkpoint"])])
         assert rc == 0
         assert (tmp_path / "weigh.csv").exists()
+
+
+class TestInputSize:
+    """Every command assembles its arrays at the checkpoint's input size."""
+
+    def test_48_pixel_vit_end_to_end(self, workdir, tmp_path):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"model": {**TINY["model"], "input_size": 48,
+                                             "patch_size": 8},
+                                   "train": TINY["train"]}), encoding="utf-8")
+        data = str(workdir["data"])
+        assert main(["train", "--data", data, "--out", str(tmp_path / "train"),
+                     "--config", str(cfg), "--seed", "3"]) == 0
+        ckpt = str(tmp_path / "train" / "model.fafw")
+        assert _load_net(ckpt)[2].input_size == 48
+        assert main(["eval", "--data", data, "--out", str(tmp_path / "eval"),
+                     "--checkpoint", ckpt]) == 0
+        assert main(["calibrate", "--checkpoint", ckpt, "--out", str(tmp_path / "cal"),
+                     "--steps", "2", "--samples", "8", "--lr", "1e-3",
+                     "--data", data]) == 0
+        assert main(["task", "weigh", "--out", str(tmp_path / "weigh"),
+                     "--estimator", "net", "--checkpoint", ckpt, "--trials", "1",
+                     "--frames", "6", "--ramp", "2"]) == 0
+        assert main(["task", "deform", "--out", str(tmp_path / "deform"),
+                     "--estimator", "net", "--checkpoint", ckpt,
+                     "--target", "0"]) == 0

@@ -362,24 +362,15 @@ class TestContainer:
 
 
 class TestGenerate:
-    def test_parallel_generation_is_deterministic(self):
+    def test_seeded_generation_is_deterministic(self):
         kw = dict(indenter_names=["cube", "small_sphere"],
                   profile_names_=["sensor1-gel1"], n_poses=2,
                   pose_range=PoseRange(x=2, y=2, roll=5, pitch=5, yaw=90),
                   step=0.4, seed=42)
-        a = ds.generate_dataset(workers=1, **kw)
-        b = ds.generate_dataset(workers=4, **kw)
+        a = ds.generate_dataset(**kw)
+        b = ds.generate_dataset(**kw)
         assert a == b
         assert len(a) > 0
-
-    def test_worker_count_env_bound(self, monkeypatch):
-        monkeypatch.setenv("FAF_THREADS", "2")
-        assert ds.worker_count() == 2
-        assert ds.worker_count(8) == 2
-        assert ds.worker_count(1) == 1
-        monkeypatch.setenv("FAF_THREADS", "0")
-        with pytest.raises(ContractError):
-            ds.worker_count()
 
     def test_stats_report(self):
         rng = np.random.default_rng(12)

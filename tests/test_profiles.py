@@ -1,10 +1,10 @@
-"""Profile registry, backgrounds, and the text format."""
+"""Profile registry and backgrounds."""
 
 import numpy as np
 import pytest
 
 from tacforce import profiles as prof
-from tacforce.errors import ContractError, FormatError
+from tacforce.errors import ContractError
 
 
 class TestRegistry:
@@ -106,66 +106,3 @@ class TestBackground:
         p = prof.get_profile("sensor2-gel2")
         img = p.background(96, 128)
         assert img.shape == (96, 128, 3)
-
-
-class TestTextFormat:
-    def test_round_trip_all_builtins(self):
-        for name in prof.PROFILE_NAMES:
-            p = prof.get_profile(name)
-            assert prof.parse_profile(prof.format_profile(p)) == p
-
-    def test_file_round_trip(self, tmp_path):
-        p = prof.get_profile("digit")
-        path = tmp_path / "digit.profile"
-        prof.save_profile(path, p)
-        assert prof.load_profile(path) == p
-
-    def test_comments_and_blanks_ignored(self):
-        text = (
-            "# a custom profile\n"
-            "\n"
-            "name = custom\n"
-            "normal_stiffness = 0.05\n"
-            "shear_stiffness = 0.02\n"
-            "friction = 0.4\n"
-            "light = az:0.0 el:30.0 color:1,0,0 gain:200.0\n"
-            "light = az:180.0 el:30.0 color:0,0,1 gain:200.0\n"
-        )
-        p = prof.parse_profile(text)
-        assert p.name == "custom"
-        assert p.friction == 0.4
-        assert len(p.lights) == 2
-
-    def test_too_few_lights_rejected(self):
-        with pytest.raises(FormatError, match="two lights"):
-            prof.parse_profile(
-                "name = x\nnormal_stiffness = 1\nshear_stiffness = 1\nfriction = 0.3\n"
-                "light = az:0.0 el:30.0 color:1,0,0 gain:200.0\n"
-            )
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(FormatError, match="unknown key"):
-            prof.parse_profile("name = x\nwobble = 3\n")
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(FormatError, match="bad value"):
-            prof.parse_profile("name = x\nfriction = soft\n")
-
-    def test_missing_name_rejected(self):
-        with pytest.raises(FormatError, match="no 'name'"):
-            prof.parse_profile("friction = 0.3\n")
-
-    def test_missing_required_rejected(self):
-        with pytest.raises(FormatError, match="missing required"):
-            prof.parse_profile("name = x\nfriction = 0.3\n")
-
-    def test_bad_light_rejected(self):
-        with pytest.raises(FormatError, match="light"):
-            prof.parse_profile(
-                "name = x\nnormal_stiffness = 1\nshear_stiffness = 1\n"
-                "friction = 0.3\nlight = az:0 el:30\n"
-            )
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(FormatError, match="line 2"):
-            prof.parse_profile("name = x\nthis is not a key value pair\n")

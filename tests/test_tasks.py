@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tacforce import training
 from tacforce.dataset import DepthNormalizer
 from tacforce.errors import (ContractError, DegenerateInputError, TaskFailure)
 from tacforce.model import ForceNet, ModelConfig
@@ -298,11 +299,12 @@ class TestGrasp:
 
 
 class TestNetEstimator:
-    def test_shapes_and_finiteness(self):
+    def test_shapes_and_finiteness(self, monkeypatch):
+        monkeypatch.setattr(training, "PREDICT_CHUNK", 4)
         trace = simulate_push(PushScenario(n_frames=6, ramp_frames=2), seed=0)
         net = ForceNet(ModelConfig(embed_dim=16, depth=1, heads=2,
                                    decoder_channels=8), seed=0)
-        est = net_estimator(net, DepthNormalizer.identity(), chunk=4)
+        est = net_estimator(net, DepthNormalizer.identity())
         out = est(trace.samples)
         assert out.shape == (6, 3)
         assert np.isfinite(out).all()

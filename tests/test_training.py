@@ -17,7 +17,7 @@ from tacforce.training import (EvalReport, TrainConfig, evaluate, loss_depth,
                                loss_force, loss_total, lr_scale,
                                make_training_arrays, model_estimator,
                                normalized_error, oracle_estimator,
-                               per_axis_mae, split_unseen, train)
+                               per_axis_mae, train)
 
 TINY = ModelConfig(embed_dim=16, depth=1, heads=2, decoder_channels=8)
 
@@ -317,15 +317,6 @@ class TestArrays:
         with pytest.raises(ContractError):
             make_training_arrays([], DepthNormalizer.identity())
 
-    def test_split_unseen(self):
-        from tacforce.indenters import INDENTER_IDS
-        profile = get_profile("sensor1-gel1")
-        run = run_indentation(get_indenter("cube"), (0, 0, 0, 0, 0, 0), profile,
-                              step=0.4, f_max=4.0, rng_seed=(3, 0))
-        seen, unseen = split_unseen(run, INDENTER_IDS["cube"])
-        assert seen == []
-        assert unseen == run
-
 
 class TestEvaluate:
     def _sets(self):
@@ -343,9 +334,10 @@ class TestEvaluate:
             assert cell["normalized_error"] == 0.0
             assert np.array_equal(cell["mae"], np.zeros(3))
 
-    def test_model_estimator_reports_all_cells(self):
+    def test_model_estimator_reports_all_cells(self, monkeypatch):
+        monkeypatch.setattr(training, "PREDICT_CHUNK", 2)
         net = ForceNet(TINY, seed=0)
-        report = evaluate(self._sets(), model_estimator(net, chunk=2))
+        report = evaluate(self._sets(), model_estimator(net))
         assert set(report.cells) == {"cellA", "cellB"}
         for cell in report.cells.values():
             assert np.isfinite(cell["normalized_error"])

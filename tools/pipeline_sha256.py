@@ -1,0 +1,92 @@
+"""Hash every output of a small seeded CLI pipeline.
+
+Runs the `tacforce` subcommands in a fresh temporary directory, from
+dataset generation through training, evaluation, calibration and the
+downstream tasks, and prints one `sha256  name` line per output file
+and per command's stdout. Every subcommand is a pure function of its
+flags and --seed, so two checkouts that behave the same print the same
+lines; diff the output of two checkouts to compare them:
+
+    python3 tools/pipeline_sha256.py > a.txt
+    (in the other checkout) python3 tools/pipeline_sha256.py > b.txt
+    diff a.txt b.txt
+
+The package is imported from the checkout's `src/`. Commands run with
+single-threaded BLAS, since some outputs depend on the BLAS thread
+count, and with paths relative to the temporary directory, so that
+stdout does not carry it. A command that exits non-zero stops the run.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+TINY = {"model": {"embed_dim": 16, "depth": 1, "heads": 2, "decoder_channels": 8},
+        "train": {"epochs": 2, "batch_size": 8, "backbone_lr": 1e-3, "head_lr": 1e-3}}
+
+CALIBRATE = ["--samples", "20", "--steps", "5", "--lr", "1e-3", "--seed", "9",
+             "--data", "gen/dataset.faf"]
+WEIGH = ["--trials", "1", "--frames", "8", "--ramp", "2", "--seed", "5"]
+DEFORM = ["--target", "1.74", "--seed", "5"]
+# the two-epoch nets read about 0.21 N whatever the grip, so the net grasp
+# aims below that
+DEFORM_NET = ["--target", "0.2", "--seed", "5"]
+
+# (name, argv); each command writes to --out <name>
+PIPELINE = [
+    ("gen", ["dataset", "gen", "--count", "2", "--tool", "small_sphere",
+             "--tool", "cube", "--profile", "sensor1-gel1", "--profile", "digit",
+             "--step", "0.4", "--f-max", "6", "--seed", "11"]),
+    ("balance", ["dataset", "balance", "--data", "gen/dataset.faf", "--seed", "2"]),
+    ("stats", ["dataset", "stats", "--data", "balance/balanced.faf"]),
+    ("train-vit", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
+                   "--seed", "3"]),
+    ("train-conv", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
+                    "--conv-encoder", "--seed", "3"]),
+    ("eval-net", ["eval", "--data", "gen/dataset.faf",
+                  "--checkpoint", "train-vit/model.fafw",
+                  "--checkpoint", "train-conv/model.fafw"]),
+    ("eval-oracle", ["eval", "--data", "gen/dataset.faf", "--estimator", "oracle"]),
+    *[(f"calibrate-{enc}-{scope}",
+       ["calibrate", "--checkpoint", f"train-{enc}/model.fafw", "--scope", scope,
+        *CALIBRATE])
+      for enc in ("vit", "conv")
+      for scope in ("auto", "final-layer", "regressor-head", "full")],
+    ("weigh-oracle", ["task", "weigh", *WEIGH]),
+    ("deform-oracle", ["task", "deform", *DEFORM]),
+    *[(f"{task}-net-{enc}",
+       ["task", task, "--estimator", "net", "--checkpoint", f"train-{enc}/model.fafw",
+        *(WEIGH if task == "weigh" else DEFORM_NET)])
+      for task in ("weigh", "deform")
+      for enc in ("vit", "conv")],
+]
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC), OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="pipeline-") as root:
+        with open(os.path.join(root, "tiny.json"), "w", encoding="utf-8") as fh:
+            json.dump(TINY, fh)
+        for name, argv in PIPELINE:
+            cmd = [sys.executable, "-m", "tacforce.cli", *argv, "--out", name]
+            proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr.decode(errors="replace"))
+                sys.exit(f"{name}: exit {proc.returncode}: {' '.join(argv)}")
+            print(f"{sha256(proc.stdout)}  {name}.stdout")
+            for fname in sorted(os.listdir(os.path.join(root, name))):
+                with open(os.path.join(root, name, fname), "rb") as fh:
+                    print(f"{sha256(fh.read())}  {name}/{fname}")
+
+
+if __name__ == "__main__":
+    main()
