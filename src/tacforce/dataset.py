@@ -21,6 +21,7 @@ counts per tool and per profile; ``load`` never needs it.
 """
 
 import dataclasses
+import functools
 import json
 import struct
 
@@ -68,6 +69,8 @@ class TactileSample:
             raise ShapeError("sample vectors", self.force.shape, self.pose.shape)
         if not np.isfinite(self.force).all():
             raise ContractError("force readout must be finite")
+        if not np.isfinite(self.depth).all():
+            raise ContractError("depth map must be finite")
         if self.depth.min() < 0:
             raise ContractError("depth map must be non-negative")
 
@@ -189,15 +192,23 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
     return samples
 
 
-def _resize_bilinear(img, out_h, out_w):
-    """Corner-aligned bilinear resize of (H, W) or (H, W, C)."""
-    in_h, in_w = img.shape[:2]
+@functools.lru_cache(maxsize=64)
+def _resize_grid(in_h, in_w, out_h, out_w):
+    """Read-only (2, out_h, out_w) sample coordinates (rr, cc) of a
+    corner-aligned resize from (in_h, in_w)."""
     rows = np.linspace(0.0, in_h - 1.0, out_h)
     cols = np.linspace(0.0, in_w - 1.0, out_w)
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    grid = np.array(np.meshgrid(rows, cols, indexing="ij"))
+    grid.flags.writeable = False
+    return grid
+
+
+def _resize_bilinear(img, out_h, out_w):
+    """Corner-aligned bilinear resize of (H, W) or (H, W, C)."""
+    grid = _resize_grid(*img.shape[:2], out_h, out_w)
     if img.ndim == 2:
-        return ndimage.map_coordinates(img, [rr, cc], order=1, mode="nearest")
-    chans = [ndimage.map_coordinates(img[..., c], [rr, cc], order=1, mode="nearest")
+        return ndimage.map_coordinates(img, grid, order=1, mode="nearest")
+    chans = [ndimage.map_coordinates(img[..., c], grid, order=1, mode="nearest")
              for c in range(img.shape[2])]
     return np.stack(chans, axis=-1)
 
@@ -209,7 +220,10 @@ def preprocess(image, background, depth, normalizer, size=32):
     a square on its short side, and bilinear-resized (corner-aligned).
     The depth map is value-normalized and resized directly; it carries
     no background and needs no padding. One size serves both, since the
-    decoder reconstructs depth at the encoder's input size.
+    decoder reconstructs depth at the encoder's input size. The resize's
+    sample coordinates depend only on the input and output shapes, so
+    they are computed once per shape pair and cached read-only; the
+    interpolation reads the same numbers as when they were rebuilt.
     """
     image = np.asarray(image)
     background = np.asarray(background)
@@ -313,8 +327,21 @@ def _need(blob, offset, nbytes, what):
     return blob[offset:offset + nbytes], offset + nbytes
 
 
+def _finite(raw, k, what, offset):
+    values = np.frombuffer(raw, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise FormatError(f"record {k} {what} holds a non-finite value", offset=offset)
+    return values
+
+
 def load(path):
-    """Read a FAF1 file back into a list of samples (bit-exact)."""
+    """Read a FAF1 file back into a list of samples (bit-exact).
+
+    A malformed file raises FormatError with the byte offset of the bad
+    field: a truncated or empty record, trailing bytes, an unknown tool
+    or profile id, a depth map with a negative or non-finite value, or
+    a non-finite force or pose.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     raw, off = _need(blob, 0, 4, "magic")
@@ -336,10 +363,13 @@ def load(path):
         image = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
         raw, off = _need(blob, off, 4 * h * w, f"record {k} depth map")
         depth = np.frombuffer(raw, dtype="<f4").reshape(h, w)
+        if not (np.isfinite(depth).all() and depth.min() >= 0):
+            raise FormatError(f"record {k} depth map holds a negative or non-finite value",
+                              offset=off - 4 * h * w)
         raw, off = _need(blob, off, 12, f"record {k} force")
-        force = np.frombuffer(raw, dtype="<f4")
+        force = _finite(raw, k, "force", off - 12)
         raw, off = _need(blob, off, 24, f"record {k} pose")
-        pose = np.frombuffer(raw, dtype="<f4")
+        pose = _finite(raw, k, "pose", off - 24)
         raw, off = _need(blob, off, 4, f"record {k} ids")
         indenter_id, profile_id = struct.unpack("<HH", raw)
         if indenter_id >= len(INDENTER_NAMES):

@@ -43,12 +43,16 @@ class FormatError(TacforceError):
 
 
 class TrainingDiverged(TacforceError):
-    """Loss became non-finite during training."""
+    """The loss or a gradient became non-finite during training.
 
-    def __init__(self, epoch, batch):
+    ``what`` names which: "loss" or "gradient of <parameter>".
+    """
+
+    def __init__(self, epoch, batch, what="loss"):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        self.what = what
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
 
 
 class TaskFailure(TacforceError):

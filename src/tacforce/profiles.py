@@ -26,12 +26,19 @@ class Light:
     ``elevation`` degrees above the gel plane. ``color`` is an RGB
     triple in [0, 1] and ``gain`` scales it into 8-bit intensity units,
     so a fully lit facet adds up to ``gain * color`` counts per channel.
+    The elevation must lie in (0, 90]: every light shines down onto the
+    gel, so a flat patch of it catches none (rendering relies on that).
     """
 
     azimuth: float
     elevation: float
     color: tuple
     gain: float
+
+    def __post_init__(self):
+        if not 0.0 < self.elevation <= 90.0:
+            raise ContractError(
+                f"light elevation must be in (0, 90] degrees, got {self.elevation}")
 
     def direction(self):
         """Unit propagation vector (points from the source into the scene)."""

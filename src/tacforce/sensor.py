@@ -16,6 +16,17 @@ the profile's force quantum, mimicking an F/T sensor's resolution.
 Rendering shades the penetration field with the profile's directional
 lights on top of the resting background; an untouched gel reproduces
 the background exactly.
+
+Two shortcuts skip work whose result is known, and change no output
+bit. The pixel-center grid of each grid geometry is built once and
+cached read-only, since every contact on that grid reads the same
+coordinates. And rendering shades only the contact's bounding box,
+grown by two pixels: outside it the gel is flat, its normal is
+(0, 0, 1), every light shines downward, so each light adds exactly
++0.0 there and the background byte comes back out of the round to
+uint8. The two-pixel margin makes the crop's gradients equal the full
+frame's (see ``render_tactile``). Sensor noise touches every pixel, so
+a noisy profile shades the whole frame as before.
 """
 
 import dataclasses
@@ -93,17 +104,33 @@ class ContactState:
 
 
 def pixel_grid(profile=None, scale=1):
-    """Pixel-center coordinates (u, v) in mm, each (H*scale, W*scale)."""
+    """Pixel-center coordinates (u, v) in mm, each (H*scale, W*scale).
+
+    The arrays are built once per grid geometry and ``scale`` and then
+    shared, so they are read-only.
+    """
+    uu, vv, _ = _grid(*_grid_geometry(profile), scale)
+    return uu, vv
+
+
+def _grid_geometry(profile):
     if profile is None:
-        width_mm, height_mm = GRID_WIDTH_MM, GRID_HEIGHT_MM
-        width_px, height_px = GRID_WIDTH_PX, GRID_HEIGHT_PX
-    else:
-        width_mm, height_mm = profile.width_mm, profile.height_mm
-        width_px, height_px = profile.width_px, profile.height_px
+        return GRID_WIDTH_MM, GRID_HEIGHT_MM, GRID_WIDTH_PX, GRID_HEIGHT_PX
+    return profile.width_mm, profile.height_mm, profile.width_px, profile.height_px
+
+
+@functools.lru_cache(maxsize=64)
+def _grid(width_mm, height_mm, width_px, height_px, scale):
+    """Read-only (uu, vv, points): the meshgrid and its (H*W, 3) rows
+    (u, v, 0) on the gel plane."""
     pitch = width_mm / width_px / scale
     u = -width_mm / 2 + pitch * (np.arange(width_px * scale) + 0.5)
     v = -height_mm / 2 + pitch * (np.arange(height_px * scale) + 0.5)
-    return np.meshgrid(u, v)
+    uu, vv = np.meshgrid(u, v)
+    points = np.stack([uu.ravel(), vv.ravel(), np.zeros(uu.size)], axis=1)
+    for arr in (uu, vv, points):
+        arr.flags.writeable = False
+    return uu, vv, points
 
 
 def tool_transform(indenter, pose, depth):
@@ -131,8 +158,7 @@ def tool_transform(indenter, pose, depth):
 
 def penetration_field(indenter, rotation, translation, profile=None, scale=1):
     """Per-pixel penetration for a tool at an explicit world transform."""
-    uu, vv = pixel_grid(profile, scale)
-    points = np.stack([uu.ravel(), vv.ravel(), np.zeros(uu.size)], axis=1)
+    uu, _, points = _grid(*_grid_geometry(profile), scale)
     origins = (points - translation) @ rotation  # rotation.T applied row-wise
     direction = rotation.T @ np.array([0.0, 0.0, 1.0])
 
@@ -265,6 +291,32 @@ def surface_normals(penetration, pixel_pitch):
     return n
 
 
+# Margin grown around the contact's bounding box before shading. The
+# crop's rim then lies two flat pixels out, where its one-sided
+# differences and the full frame's central ones are both exactly 0, and
+# the ring inside it sees the same neighbours as in the full frame.
+_SHADE_MARGIN = 2
+
+
+def _shade_box(penetration, whole_frame):
+    """(rows, cols) slices of the pixels shading may change, or None.
+
+    That is the bounding box of ``penetration > 0`` grown by
+    ``_SHADE_MARGIN`` and clipped to the pad, or the whole frame when
+    ``whole_frame`` is set.
+    """
+    h, w = penetration.shape
+    if whole_frame:
+        return slice(0, h), slice(0, w)
+    mask = penetration > 0.0
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return (slice(max(rows[0] - _SHADE_MARGIN, 0), min(rows[-1] + _SHADE_MARGIN + 1, h)),
+            slice(max(cols[0] - _SHADE_MARGIN, 0), min(cols[-1] + _SHADE_MARGIN + 1, w)))
+
+
 def render_tactile(contact, profile, rng_seed=None):
     """Render a contact: returns (uint8 RGB image, float32 depth map).
 
@@ -274,19 +326,38 @@ def render_tactile(contact, profile, rng_seed=None):
     shows through unchanged. Walls of the dent facing a light catch its
     color. With a positive noise sigma, Gaussian readout noise seeded by
     ``rng_seed`` is added before the clamp to [0, 255].
+
+    Only the contact's bounding box, grown by two pixels and clipped to
+    the pad, is shaded and written into a copy of the background; the
+    result is the full-frame render, bit for bit. Outside the box the
+    gel is flat, so n = (0, 0, 1), n . l = l_z < 0 for every light (all
+    sit above the gel plane) and each light adds +0.0; a uint8 byte
+    survives the float clamp and round unchanged. Inside it,
+    ``np.gradient`` on the crop takes the same central differences as
+    on the full frame, except on the crop's rim, where the full frame's
+    differences of flat pixels and the crop's one-sided ones are both
+    0. Noise touches every pixel, so a noisy profile shades the whole
+    frame, drawing the noise in the same order as ever; an empty
+    contact without noise returns the background.
     """
     h, w = contact.penetration.shape
-    pitch = float(np.sqrt(contact.pixel_area))
-    img = profile.background(h, w).astype(np.float64)
-    if contact.mask.any():
-        normals = surface_normals(contact.penetration, pitch)
+    noisy = profile.noise_sigma > 0.0
+    if noisy and rng_seed is None:
+        raise ContractError("profile has sensor noise; pass rng_seed to render_tactile")
+    depth = contact.penetration.astype(np.float32)
+    image = profile.background(h, w).copy()
+    box = _shade_box(contact.penetration, whole_frame=noisy)
+    if box is None:
+        return image, depth
+    img = image[box].astype(np.float64)
+    penetration = contact.penetration[box]
+    if (penetration > 0.0).any():
+        normals = surface_normals(penetration, float(np.sqrt(contact.pixel_area)))
         for light in profile.lights:
             lam = np.maximum(normals @ light.direction(), 0.0)
             img += light.gain * lam[..., None] * np.asarray(light.color)
-    if profile.noise_sigma > 0.0:
-        if rng_seed is None:
-            raise ContractError("profile has sensor noise; pass rng_seed to render_tactile")
+    if noisy:
         rng = np.random.default_rng(rng_seed)
         img += rng.normal(0.0, profile.noise_sigma, size=img.shape)
-    image = np.rint(np.clip(img, 0.0, 255.0)).astype(np.uint8)
-    return image, contact.penetration.astype(np.float32)
+    image[box] = np.rint(np.clip(img, 0.0, 255.0)).astype(np.uint8)
+    return image, depth

@@ -144,7 +144,12 @@ def build_optimizer(net, cfg):
 
 
 def train_step(net, opt, images, forces, depths, cfg):
-    """One forward/backward/update; returns (L_F, L_D, L) floats."""
+    """One forward/backward/update; returns (L_F, L_D, L) floats.
+
+    Raises TrainingDiverged before the update, leaving the parameters
+    and Adam's state untouched, if the loss or any gradient of a
+    parameter the optimizer steps is non-finite.
+    """
     pred_force, pred_depth = net.forward(images, with_depth=cfg.with_decoder)
     l_f = loss_force(ad.Tensor(forces), pred_force)
     if cfg.with_decoder:
@@ -158,6 +163,11 @@ def train_step(net, opt, images, forces, depths, cfg):
         raise TrainingDiverged(-1, -1)
     opt.zero_grad()
     ad.backward(total)
+    for group in opt.groups:
+        for p in group["params"]:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                name = next(k for k, q in net.named_params().items() if q is p)
+                raise TrainingDiverged(-1, -1, what=f"gradient of {name}")
     opt.step()
     return values
 
@@ -197,8 +207,8 @@ def train(data, net, cfg):
             try:
                 values = train_step(net, opt, data["images"][sel], data["forces"][sel],
                                     data["depths"][sel], cfg)
-            except TrainingDiverged:
-                raise TrainingDiverged(epoch, batches) from None
+            except TrainingDiverged as err:
+                raise TrainingDiverged(epoch, batches, err.what) from None
             sums += values
             batches += 1
         curve[epoch] = (epoch, *(sums / batches))

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tacforce import dataset as ds
 from tacforce import sensor as sen
@@ -214,6 +215,37 @@ class TestPreprocess:
         with pytest.raises(ShapeError):
             ds.preprocess(bg, bg, np.zeros((40, 64)), self.norm)
 
+    def test_matches_the_uncached_resize(self):
+        # the resize grid is cached per shape pair; the numbers must be
+        # those of a grid rebuilt on every call
+        def reference_resize(img, out_h, out_w):
+            rr, cc = np.meshgrid(np.linspace(0.0, img.shape[0] - 1.0, out_h),
+                                 np.linspace(0.0, img.shape[1] - 1.0, out_w), indexing="ij")
+            if img.ndim == 2:
+                return ndimage.map_coordinates(img, [rr, cc], order=1, mode="nearest")
+            return np.stack([ndimage.map_coordinates(img[..., c], [rr, cc], order=1,
+                                                     mode="nearest")
+                             for c in range(img.shape[2])], axis=-1)
+
+        norm = ds.DepthNormalizer(min_val=0.0, max_val=2.5, eps=0.1)
+        for profile, tool in ((GEL1, "ring"), (get_profile("digit"), "wedge")):
+            contact = sen.compute_contact(get_indenter(tool), sen.ToolPose(1.0, -2.0, 5, 8, 40),
+                                          1.7, profile)
+            image, depth = sen.render_tactile(contact, profile)
+            bg = profile.background()
+            for size in (32, 48, 17):
+                t, d = ds.preprocess(image, bg, depth, norm, size=size)
+                diff = np.clip((image.astype(np.float64) - bg) / 255.0, -1.0, 1.0)
+                padded = np.zeros((64, 64, 3))
+                padded[8:56] = diff
+                assert np.array_equal(t, reference_resize(padded, size, size))
+                assert np.array_equal(d, reference_resize(norm.normalize(depth), size, size))
+
+    def test_resize_grid_is_cached_read_only(self):
+        grid = ds._resize_grid(48, 64, 32, 32)
+        assert ds._resize_grid(48, 64, 32, 32) is grid
+        assert grid.shape == (2, 32, 32) and not grid.flags.writeable
+
     def test_resize_is_corner_aligned(self):
         # corner-aligned bilinear maps the input corners onto the output
         # corners exactly
@@ -359,6 +391,84 @@ class TestContainer:
         with pytest.raises(FormatError, match="record 1 has unknown profile id") as err:
             ds.load(path)
         assert err.value.offset == at
+
+
+    @pytest.mark.parametrize("patch_at, value, field", [
+        (4 + 576 + 4 * 7, -1.0, "depth map"),   # 12x16 image: depth starts at 580
+        (4 + 576 + 4 * 191, np.nan, "depth map"),
+        (4 + 576 + 4 * 3, np.inf, "depth map"),
+        (-32, np.inf, "force"),                 # force[2]; force starts 40 from the end
+        (-24, np.nan, "pose"),                  # pose[1]; pose starts 28 from the end
+    ], ids=["negative-depth", "nan-depth", "inf-depth", "inf-force", "nan-pose"])
+    def test_bad_values_rejected_at_their_field(self, tmp_path, patch_at, value, field):
+        field_start = {"depth map": 4 + 576, "force": -40, "pose": -28}[field]
+        path, at = self._second_record(tmp_path, patch_at, "<f", value)
+        with pytest.raises(FormatError, match=f"record 1 {field} holds a") as err:
+            ds.load(path)
+        assert err.value.offset == at - (patch_at - field_start)
+
+    def test_sample_rejects_non_finite_depth(self):
+        rng = np.random.default_rng(14)
+        s = make_sample(rng)
+        depth = s.depth.copy()
+        depth[3, 4] = np.nan
+        with pytest.raises(ContractError, match="finite"):
+            ds.TactileSample(s.image, depth, s.force, s.pose, 0, 0)
+
+
+class TestContainerFuzz:
+    """Seeded corruption of a stored file. `load` either returns samples
+    that store back to exactly the bytes it read (so they are the stored
+    ones, corruption included) or raises FormatError; nothing else."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        rng = np.random.default_rng(15)
+        samples = [make_sample(rng, h=3, w=4, tool=i % 3, profile=i % 2) for i in range(4)]
+        path = tmp_path_factory.mktemp("fuzz") / "s.faf"
+        ds.store(samples, path)
+        return samples, path.read_bytes()
+
+    @staticmethod
+    def load_or_format_error(tmp_path, blob):
+        path = tmp_path / "fuzzed.faf"
+        path.write_bytes(blob)
+        try:
+            samples = ds.load(path)
+        except FormatError:
+            return None
+        ds.store(samples, tmp_path / "again.faf")
+        assert (tmp_path / "again.faf").read_bytes() == blob
+        return samples
+
+    def test_truncation_at_every_record_and_field_boundary(self, tmp_path, stored):
+        samples, blob = stored
+        record = (len(blob) - 10) // len(samples)
+        fields = np.cumsum([0, 4, 3 * 4 * 3, 4 * 3 * 4, 12, 24])  # up to the ids
+        cuts = sorted({*range(10), *(10 + k * record + f for k in range(len(samples))
+                                     for f in fields)})
+        for cut in cuts:
+            assert self.load_or_format_error(tmp_path, blob[:cut]) is None, cut
+        assert self.load_or_format_error(tmp_path, blob) == samples
+
+    def test_seeded_byte_flips(self, tmp_path, stored):
+        _, blob = stored
+        rng = np.random.default_rng(16)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(400):
+            fuzzed = bytearray(blob)
+            at = int(rng.integers(len(blob)))
+            fuzzed[at] ^= int(rng.integers(1, 256))
+            got = self.load_or_format_error(tmp_path, bytes(fuzzed))
+            outcomes["rejected" if got is None else "loaded"] += 1
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0, outcomes
+
+    def test_trailing_bytes(self, tmp_path, stored):
+        samples, blob = stored
+        rng = np.random.default_rng(17)
+        record = blob[10:10 + (len(blob) - 10) // len(samples)]
+        for extra in (b"\x00", bytes(rng.integers(0, 256, 7, dtype=np.uint8)), record):
+            assert self.load_or_format_error(tmp_path, blob + extra) is None
 
 
 class TestGenerate:

@@ -68,6 +68,11 @@ class TestLights:
         lt = prof.Light(azimuth=45.0, elevation=30.0, color=(1, 1, 1), gain=1.0)
         assert lt.direction()[2] < 0.0
 
+    @pytest.mark.parametrize("elevation", [0.0, -10.0, 90.5])
+    def test_lights_must_shine_down(self, elevation):
+        with pytest.raises(ContractError, match="elevation"):
+            prof.Light(azimuth=0.0, elevation=elevation, color=(1, 1, 1), gain=1.0)
+
     def test_source_side_sign(self):
         # a light at azimuth 0 sits on +x and travels toward -x
         lt = prof.Light(azimuth=0.0, elevation=20.0, color=(1, 1, 1), gain=1.0)

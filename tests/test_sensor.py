@@ -15,7 +15,7 @@ import pytest
 from tacforce import sensor as sen
 from tacforce.errors import ContractError, SafetyError
 from tacforce.indenters import CATALOG, get_indenter
-from tacforce.profiles import get_profile
+from tacforce.profiles import PROFILE_NAMES, get_profile
 
 # near-zero quantum: rounding error is a few ulps, far below test tolerances
 EXACT = get_profile("sensor1-gel1").replace(force_quantum=1e-15)
@@ -41,6 +41,17 @@ class TestGrid:
         uu, vv = sen.pixel_grid()
         np.testing.assert_allclose(uu, -uu[::-1, ::-1], atol=1e-12)
         np.testing.assert_allclose(vv, -vv[::-1, ::-1], atol=1e-12)
+
+    def test_grids_are_cached_read_only(self):
+        uu, vv = sen.pixel_grid()
+        again = sen.pixel_grid(get_profile("digit"))  # same geometry as the default
+        assert again[0] is uu and again[1] is vv
+        fine = sen.pixel_grid(scale=2)
+        assert fine[0].shape == (96, 128) and fine[0] is not uu
+        for arr in (uu, vv, fine[0]):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            uu[0, 0] = 1.0
 
     def test_pose_array_round_trip(self):
         pose = sen.ToolPose(1.0, -2.0, 3.0, -4.0, 170.0)
@@ -291,6 +302,67 @@ class TestRendering:
         other, _ = sen.render_tactile(c, profile, rng_seed=6)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, other)
+
+
+def reference_render(contact, profile, rng_seed=None):
+    """The full-frame shader: every pixel shaded, then noised, then
+    clamped and rounded. `render_tactile` must match it bit for bit."""
+    h, w = contact.penetration.shape
+    img = profile.background(h, w).astype(np.float64)
+    if contact.mask.any():
+        normals = sen.surface_normals(contact.penetration, float(np.sqrt(contact.pixel_area)))
+        for light in profile.lights:
+            lam = np.maximum(normals @ light.direction(), 0.0)
+            img += light.gain * lam[..., None] * np.asarray(light.color)
+    if profile.noise_sigma > 0.0:
+        img += np.random.default_rng(rng_seed).normal(0.0, profile.noise_sigma, size=img.shape)
+    return np.rint(np.clip(img, 0.0, 255.0)).astype(np.uint8)
+
+
+class TestBoxedRendering:
+    """`render_tactile` shades only the contact's box; the bytes must be
+    the full-frame shader's on every tool and profile."""
+
+    POSES = {
+        "centred": (sen.ToolPose(yaw=20.0), 1.2),
+        "pad-edge": (sen.ToolPose(x=8.0, y=-8.0, yaw=35.0), 1.6),
+        "tilted": (sen.ToolPose(x=-2.0, y=1.5, roll=30.0, pitch=-30.0, yaw=70.0), 1.4),
+        "untouched": (sen.ToolPose(x=3.0), 0.0),
+    }
+
+    @pytest.mark.parametrize("tool", sorted(CATALOG))
+    def test_matches_the_full_frame_shader(self, tool):
+        indenter = get_indenter(tool)
+        for k, name in enumerate(PROFILE_NAMES):
+            for sigma in (0.0, 2.5):
+                profile = get_profile(name).replace(noise_sigma=sigma)
+                for label, (pose, depth) in self.POSES.items():
+                    contact = sen.compute_contact(indenter, pose, depth, profile)
+                    image, depth_map = sen.render_tactile(contact, profile, rng_seed=(k, 3))
+                    expected = reference_render(contact, profile, rng_seed=(k, 3))
+                    where = f"{tool} {name} sigma={sigma} {label}"
+                    assert image.dtype == np.uint8 and image.flags.writeable, where
+                    np.testing.assert_array_equal(image, expected, err_msg=where)
+                    np.testing.assert_array_equal(
+                        depth_map, contact.penetration.astype(np.float32), err_msg=where)
+
+    def test_box_is_the_grown_contact_clipped_to_the_pad(self):
+        pen = np.zeros((48, 64))
+        pen[10:13, 20:30] = 0.5
+        assert sen._shade_box(pen, whole_frame=False) == (slice(8, 15), slice(18, 32))
+        pen[0, 63] = 0.1
+        assert sen._shade_box(pen, whole_frame=False) == (slice(0, 15), slice(18, 64))
+        assert sen._shade_box(np.zeros((48, 64)), whole_frame=False) is None
+        assert sen._shade_box(np.zeros((48, 64)), whole_frame=True) == (slice(0, 48),
+                                                                         slice(0, 64))
+
+    def test_untouched_render_is_a_fresh_copy(self):
+        profile = get_profile("digit")
+        c = sen.compute_contact(get_indenter("cube"), center_pose(), 0.0, profile)
+        a, _ = sen.render_tactile(c, profile)
+        a[0, 0] = 0
+        b, _ = sen.render_tactile(c, profile)
+        np.testing.assert_array_equal(b, profile.background())
 
 
 class TestForceInversion:

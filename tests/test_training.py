@@ -263,6 +263,44 @@ class TestTrainLoop:
         assert info.value.epoch == 0
         assert info.value.batch == 0
 
+    def test_divergence_names_the_loss(self, tiny_data):
+        poisoned = {k: v.copy() for k, v in tiny_data.items()}
+        poisoned["forces"][:, 1] = np.inf
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0, batch 0"):
+            train(poisoned, ForceNet(TINY, seed=0),
+                  TrainConfig(batch_size=2, epochs=1, backbone_lr=1e-3, head_lr=1e-3, seed=0))
+
+    def test_nan_gradient_stops_before_the_update(self, tiny_data, monkeypatch):
+        net = ForceNet(TINY, seed=0)
+        cfg = TrainConfig(batch_size=4, epochs=1, backbone_lr=1e-3, head_lr=1e-3)
+        opt = training.build_optimizer(net, cfg)
+        batch = (tiny_data["images"], tiny_data["forces"], tiny_data["depths"])
+        training.train_step(net, opt, *batch, cfg)  # so Adam holds moments
+        params = snapshot(net)
+        moments = {k: (m.copy(), opt._v[k].copy()) for k, m in opt._m.items()}
+        real_backward = ad.backward
+        victim = net
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            victim.named_params()["regressor.out.weight"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(training.ad, "backward", poisoned_backward)
+        with pytest.raises(TrainingDiverged, match="gradient of regressor.out.weight"):
+            training.train_step(net, opt, *batch, cfg)
+        assert opt.t == 1
+        assert set(moments) == set(opt._m)
+        for k, (m, v) in moments.items():
+            assert np.array_equal(opt._m[k], m) and np.array_equal(opt._v[k], v)
+        after = snapshot(net)
+        assert all(np.array_equal(after[k], params[k]) for k in params)
+
+        victim = ForceNet(TINY, seed=0)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient of regressor.out.weight "
+                                                   "at epoch 0, batch 0") as info:
+            train(tiny_data, victim, cfg)
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+
     def test_empty_dataset_rejected(self):
         empty = {"images": np.zeros((0, 32, 32, 3)), "forces": np.zeros((0, 3)),
                  "depths": np.zeros((0, 32, 32))}

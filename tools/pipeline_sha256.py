@@ -1,9 +1,9 @@
 """Hash every output of a small seeded CLI pipeline.
 
 Runs the `tacforce` subcommands in a fresh temporary directory, from
-dataset generation through training, evaluation, calibration and the
-downstream tasks, and prints one `sha256  name` line per output file
-and per command's stdout. Every subcommand is a pure function of its
+dataset generation on all ten indenters through training, evaluation,
+calibration and the downstream tasks, and prints one `sha256  name`
+line per output file and per command's stdout. Every subcommand is a pure function of its
 flags and --seed, so two checkouts that behave the same print the same
 lines; diff the output of two checkouts to compare them:
 
@@ -37,10 +37,14 @@ DEFORM = ["--target", "1.74", "--seed", "5"]
 # aims below that
 DEFORM_NET = ["--target", "0.2", "--seed", "5"]
 
+# every indenter, so the hashes cover each tool's contact and render path
+TOOLS = ("big_sphere", "small_sphere", "cylinder", "triple_cylinder", "ring", "cross",
+         "cube", "cone", "wedge", "ellipsoid")
+
 # (name, argv); each command writes to --out <name>
 PIPELINE = [
-    ("gen", ["dataset", "gen", "--count", "2", "--tool", "small_sphere",
-             "--tool", "cube", "--profile", "sensor1-gel1", "--profile", "digit",
+    ("gen", ["dataset", "gen", "--count", "2", *(a for t in TOOLS for a in ("--tool", t)),
+             "--profile", "sensor1-gel1", "--profile", "digit",
              "--step", "0.4", "--f-max", "6", "--seed", "11"]),
     ("balance", ["dataset", "balance", "--data", "gen/dataset.faf", "--seed", "2"]),
     ("stats", ["dataset", "stats", "--data", "balance/balanced.faf"]),
