@@ -24,6 +24,7 @@ from .errors import FormatError
 
 MAGIC = b"FAFW"
 VERSION = 1
+_MAX_RANK = 64  # numpy's limit on array dimensions
 
 
 def save_arrays(path, arrays):
@@ -46,7 +47,13 @@ def save_arrays(path, arrays):
 
 
 def load_arrays(path):
-    """Read a checkpoint back into a dict, preserving record order."""
+    """Read a checkpoint back into a dict, preserving record order.
+
+    A malformed file raises FormatError with the byte offset of the bad
+    field: bad magic or version, a truncated header, name, dims or
+    payload, a name that is not UTF-8 or repeats an earlier record's,
+    a rank above numpy's 64 dimensions, or dims too big for numpy.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -70,10 +77,14 @@ def load_arrays(path):
             name = blob[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("array name is not valid UTF-8", offset=pos) from None
+        if name in out:
+            raise FormatError(f"duplicate record {name!r}", offset=pos)
         pos += name_len
         if pos + 1 > n:
             raise FormatError("truncated rank byte", offset=pos)
         rank = blob[pos]
+        if rank > _MAX_RANK:
+            raise FormatError(f"rank {rank} of {name!r} is above {_MAX_RANK}", offset=pos)
         pos += 1
         if pos + 4 * rank > n:
             raise FormatError("truncated dims", offset=pos)
@@ -85,7 +96,11 @@ def load_arrays(path):
         nbytes = 8 * count
         if pos + nbytes > n:
             raise FormatError(f"truncated data for {name!r}", offset=pos)
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
+        try:
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
+        except ValueError:  # an empty array whose other dims overflow numpy's size
+            raise FormatError(f"dims {dims} of {name!r} are too big",
+                              offset=pos - 4 * rank) from None
         out[name] = arr.astype(np.float64)
         pos += nbytes
     return out

@@ -7,6 +7,14 @@ profile ids). Trajectories press a tool along its own axis in small
 steps and record one sample per step until the normal force reaches a
 limit or the gel runs out.
 
+The per-frame work is batched where it pays: a trajectory renders its
+accepted steps in blocks (``sensor.render_contacts``), and
+``preprocess_chunk`` preprocesses many samples of one shape at once.
+Every operation in both is per pixel, or a resize whose arithmetic is
+``scipy.ndimage.map_coordinates``' in its order, so each sample gets
+exactly the bytes it gets alone; batching only pays each array
+operation's per-call cost once per block instead of once per frame.
+
 The FAF1 container is a little-endian binary format:
 
     magic b"FAF1" | version u16 | count u32 | count records
@@ -22,11 +30,11 @@ counts per tool and per profile; ``load`` never needs it.
 
 import dataclasses
 import functools
+import itertools
 import json
 import struct
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, FormatError, ShapeError
 from .geometry import PoseRange, euler_to_matrix
@@ -37,6 +45,10 @@ from . import sensor
 DEFAULT_STEP_MM = 0.05
 DEFAULT_FORCE_LIMIT_N = 15.0
 DEFAULT_BIN_WIDTH_N = 0.5
+
+# Accepted steps of a trajectory rendered together. It bounds the
+# contacts held and the shading buffers of one `render_contacts` call.
+_RENDER_BLOCK = 16
 
 
 @dataclasses.dataclass(eq=False)
@@ -159,6 +171,12 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
     gel vertically by j * step * w_z, with w the world tool axis. The
     trajectory ends without recording as soon as the readout F^z reaches
     f_max, or when the next step would land deeper than the gel allows.
+
+    Each step's contact and force are computed as it is taken, since
+    the stop rule reads the force. The accepted steps are rendered in
+    blocks of up to ``_RENDER_BLOCK`` by ``sensor.render_contacts``,
+    which gives every frame the bytes ``render_tactile`` gives it alone,
+    step j's noise still seeded by (rng_seed, j).
     """
     if step <= 0:
         raise ContractError(f"step must be positive, got {step}")
@@ -167,50 +185,90 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
         pitch=float(pose[4]), yaw=float(pose[5]))
     axis_z = euler_to_matrix(tool_pose.roll, tool_pose.pitch, tool_pose.yaw)[2, 2]
     indenter = get_indenter(indenter) if isinstance(indenter, str) else indenter
+    steps = _accepted_steps(indenter, tool_pose, profile, step, axis_z, f_max)
+    ids = dict(indenter_id=INDENTER_NAMES.index(indenter.name),
+               profile_id=PROFILE_IDS[profile.name])
     samples = []
+    while block := list(itertools.islice(steps, _RENDER_BLOCK)):
+        images, depth_maps = sensor.render_contacts(
+            [contact for _, _, contact, _ in block], profile,
+            None if rng_seed is None else [(rng_seed, j) for j, _, _, _ in block])
+        for (_, depth, _, force), image, depth_map in zip(block, images, depth_maps):
+            # copies, so that a kept sample does not hold its whole block
+            samples.append(TactileSample(
+                image=image.copy(),
+                depth=depth_map.copy(),
+                force=force,
+                pose=np.array([tool_pose.x, tool_pose.y, -depth,
+                               tool_pose.roll, tool_pose.pitch, tool_pose.yaw]),
+                **ids,
+            ))
+    return samples
+
+
+def _accepted_steps(indenter, tool_pose, profile, step, axis_z, f_max):
+    """Yield (j, depth, contact, force) for steps j = 1, 2, ... at
+    vertical depth j * step * axis_z, until the gel runs out or F^z
+    reaches f_max."""
     j = 1
     while True:
         depth = j * step * axis_z
         if depth > profile.gel_thickness:
-            break
+            return
         contact = sensor.compute_contact(indenter, tool_pose, depth, profile)
         force = sensor.oracle_force(contact, profile)
         if force[2] >= f_max:
-            break
-        image, depth_map = sensor.render_tactile(
-            contact, profile, None if rng_seed is None else (rng_seed, j))
-        samples.append(TactileSample(
-            image=image,
-            depth=depth_map,
-            force=force,
-            pose=np.array([tool_pose.x, tool_pose.y, -depth,
-                           tool_pose.roll, tool_pose.pitch, tool_pose.yaw]),
-            indenter_id=INDENTER_NAMES.index(indenter.name),
-            profile_id=PROFILE_IDS[profile.name],
-        ))
+            return
+        yield j, depth, contact, force
         j += 1
-    return samples
 
 
 @functools.lru_cache(maxsize=64)
-def _resize_grid(in_h, in_w, out_h, out_w):
-    """Read-only (2, out_h, out_w) sample coordinates (rr, cc) of a
-    corner-aligned resize from (in_h, in_w)."""
-    rows = np.linspace(0.0, in_h - 1.0, out_h)
-    cols = np.linspace(0.0, in_w - 1.0, out_w)
-    grid = np.array(np.meshgrid(rows, cols, indexing="ij"))
-    grid.flags.writeable = False
-    return grid
+def _tap_plan(in_h, in_w, size):
+    """Read-only taps of a corner-aligned bilinear resize of an
+    (in_h, in_w) plane to (size, size).
+
+    Four (flat index, row weight, column weight) triples, one per tap,
+    each with one row per output pixel in C order (the weights as
+    (S*S, 1) columns). They are the numbers
+    ``scipy.ndimage.map_coordinates`` uses at order 1, mode "nearest",
+    on the coordinates ``linspace(0, n - 1, size)`` of each axis: taps
+    floor(c) and floor(c) + 1, clamped to the plane; weights
+    1 - (c - floor(c)) and one minus that; taps in row-major order.
+    """
+    def axis(n):
+        coord = np.linspace(0.0, n - 1.0, size)
+        lo = np.floor(coord)
+        w_lo = 1.0 - (coord - lo)
+        lo = lo.astype(np.intp)
+        return (lo, w_lo), (np.minimum(lo + 1, n - 1), 1.0 - w_lo)
+
+    plan = []
+    for rows, w_row in axis(in_h):
+        for cols, w_col in axis(in_w):
+            tap = ((rows[:, None] * in_w + cols).ravel(),
+                   np.repeat(w_row, size)[:, None], np.tile(w_col, size)[:, None])
+            for arr in tap:
+                arr.flags.writeable = False
+            plan.append(tap)
+    return tuple(plan)
 
 
-def _resize_bilinear(img, out_h, out_w):
-    """Corner-aligned bilinear resize of (H, W) or (H, W, C)."""
-    grid = _resize_grid(*img.shape[:2], out_h, out_w)
-    if img.ndim == 2:
-        return ndimage.map_coordinates(img, grid, order=1, mode="nearest")
-    chans = [ndimage.map_coordinates(img[..., c], grid, order=1, mode="nearest")
-             for c in range(img.shape[2])]
-    return np.stack(chans, axis=-1)
+def _resize(pixels, plan):
+    """Apply a tap plan to an (H*W, K) array, one row per input pixel
+    and one column per plane: (S*S, K).
+
+    Per output value this is map_coordinates' sum in its order: 0.0
+    plus, tap by tap, value * row weight * column weight. Holding the
+    planes of a pixel in one row makes each tap gather whole rows.
+    """
+    total = np.zeros((plan[0][0].size, pixels.shape[1]))
+    for idx, w_row, w_col in plan:
+        v = np.take(pixels, idx, axis=0)
+        v *= w_row
+        v *= w_col
+        total += v
+    return total
 
 
 def preprocess(image, background, depth, normalizer, size=32):
@@ -220,10 +278,8 @@ def preprocess(image, background, depth, normalizer, size=32):
     a square on its short side, and bilinear-resized (corner-aligned).
     The depth map is value-normalized and resized directly; it carries
     no background and needs no padding. One size serves both, since the
-    decoder reconstructs depth at the encoder's input size. The resize's
-    sample coordinates depend only on the input and output shapes, so
-    they are computed once per shape pair and cached read-only; the
-    interpolation reads the same numbers as when they were rebuilt.
+    decoder reconstructs depth at the encoder's input size. This is the
+    one-sample case of ``preprocess_chunk``.
     """
     image = np.asarray(image)
     background = np.asarray(background)
@@ -234,19 +290,39 @@ def preprocess(image, background, depth, normalizer, size=32):
     if depth.shape != image.shape[:2]:
         raise ShapeError("preprocess", depth.shape, image.shape[:2],
                          detail="depth map must match the image grid")
+    t_out, d_out = preprocess_chunk(image[..., None], background[..., None], depth[..., None],
+                                    normalizer, size)
+    return t_out[..., 0], d_out[..., 0]
 
-    diff = (image.astype(np.float64) - background.astype(np.float64)) / 255.0
-    diff = np.clip(diff, -1.0, 1.0)
-    h, w = diff.shape[:2]
+
+def preprocess_chunk(images, backgrounds, depths, normalizer, size=32):
+    """``preprocess`` on n samples of one shape at once, frames on the
+    last axis.
+
+    images and backgrounds are (H, W, 3, n), depths (H, W, n); returns
+    (size, size, 3, n) and (size, size, n) float64. Each sample gets
+    exactly the numbers it gets alone: the background difference,
+    clip and depth normalization are elementwise, and the resize reads
+    a cached ``_tap_plan`` per (shape, size) whose arithmetic is
+    ``scipy.ndimage.map_coordinates(order=1, mode="nearest")``'s, in
+    the same order, signed zeros included. With the frames (and the
+    colour channels) innermost, every tap gathers whole rows, and each
+    array operation runs once per chunk instead of once per plane. The
+    padded buffer is sized to the n samples passed, so a one-sample
+    call stays small.
+    """
+    h, w, n = depths.shape
     side = max(h, w)
-    padded = np.zeros((side, side, 3))
     top = (side - h) // 2
     left = (side - w) // 2
-    padded[top:top + h, left:left + w] = diff
-    t_out = _resize_bilinear(padded, size, size)
-
-    d_out = _resize_bilinear(normalizer.normalize(depth), size, size)
-    return t_out, d_out
+    padded = np.zeros((side, side, 3, n))
+    diff = padded[top:top + h, left:left + w]
+    np.subtract(images, backgrounds, out=diff, dtype=np.float64)
+    diff /= 255.0
+    np.clip(diff, -1.0, 1.0, out=diff)
+    t_out = _resize(padded.reshape(side * side, 3 * n), _tap_plan(side, side, size))
+    d_out = _resize(normalizer.normalize(depths).reshape(h * w, n), _tap_plan(h, w, size))
+    return t_out.reshape(size, size, 3, n), d_out.reshape(size, size, n)
 
 
 def balance(samples, bin_width=DEFAULT_BIN_WIDTH_N, seed=0):
@@ -284,21 +360,21 @@ _VERSION = 1
 
 
 def store(samples, path):
-    """Write samples to a FAF1 file plus a JSON sidecar manifest."""
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<H", _VERSION)
-    blob += struct.pack("<I", len(samples))
-    for s in samples:
-        h, w = s.depth.shape
-        blob += struct.pack("<HH", h, w)
-        blob += s.image.tobytes()
-        blob += s.depth.astype("<f4").tobytes()
-        blob += s.force.astype("<f4").tobytes()
-        blob += s.pose.astype("<f4").tobytes()
-        blob += struct.pack("<HH", s.indenter_id, s.profile_id)
+    """Write samples to a FAF1 file plus a JSON sidecar manifest.
+
+    Records go to the open file one at a time, so storing holds no
+    copy of the file in memory.
+    """
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(_MAGIC + struct.pack("<HI", _VERSION, len(samples)))
+        for s in samples:
+            h, w = s.depth.shape
+            fh.write(struct.pack("<HH", h, w))
+            fh.write(s.image.tobytes())
+            fh.write(s.depth.astype("<f4").tobytes())
+            fh.write(s.force.astype("<f4").tobytes())
+            fh.write(s.pose.astype("<f4").tobytes())
+            fh.write(struct.pack("<HH", s.indenter_id, s.profile_id))
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(manifest(samples), fh, indent=2, sort_keys=True)
         fh.write("\n")

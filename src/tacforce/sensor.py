@@ -17,16 +17,20 @@ Rendering shades the penetration field with the profile's directional
 lights on top of the resting background; an untouched gel reproduces
 the background exactly.
 
-Two shortcuts skip work whose result is known, and change no output
-bit. The pixel-center grid of each grid geometry is built once and
-cached read-only, since every contact on that grid reads the same
-coordinates. And rendering shades only the contact's bounding box,
-grown by two pixels: outside it the gel is flat, its normal is
-(0, 0, 1), every light shines downward, so each light adds exactly
-+0.0 there and the background byte comes back out of the round to
-uint8. The two-pixel margin makes the crop's gradients equal the full
-frame's (see ``render_tactile``). Sensor noise touches every pixel, so
-a noisy profile shades the whole frame as before.
+Two shortcuts skip work whose result is known, a third batches it, and
+none changes an output bit. The pixel-center grid of each grid
+geometry is built once and cached read-only, since every contact on
+that grid reads the same coordinates. Rendering shades only the contact's bounding box, grown
+by two pixels: outside it the gel is flat, its normal is (0, 0, 1),
+every light shines downward, so each light adds exactly +0.0 there and
+the background byte comes back out of the round to uint8. The
+two-pixel margin makes the crop's gradients equal the full frame's.
+And ``render_contacts`` shades the frames of a trajectory together,
+over the union of their boxes, so the per-call cost of each array
+operation is paid once per batch instead of once per frame; every
+operation is per pixel, so each frame gets its own numbers (see
+``render_contacts``). Sensor noise touches every pixel, so a noisy
+profile shades whole frames as before.
 """
 
 import dataclasses
@@ -280,15 +284,20 @@ def sphere_penetration(radius, depth, r):
 
 
 def surface_normals(penetration, pixel_pitch):
-    """Unit normals of the deformed gel surface, (H, W, 3).
+    """Unit normals of the deformed gel surface, (..., H, W, 3).
 
     The surface height is -penetration; its upward normal is
-    proportional to (d(delta)/du, d(delta)/dv, 1).
+    proportional to (d(delta)/du, d(delta)/dv, 1). Leading axes are
+    frames, differenced independently.
     """
-    gv, gu = np.gradient(penetration, pixel_pitch)
-    n = np.stack([gu, gv, np.ones_like(penetration)], axis=-1)
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return n
+    gv, gu = np.gradient(penetration, pixel_pitch, axis=(-2, -1))
+    # the length np.linalg.norm gives (gu, gv, 1), summed in its order,
+    # (gu^2 + gv^2) + 1^2, without a reduction call per pixel
+    norm = gu * gu
+    norm += gv * gv
+    norm += 1.0
+    np.sqrt(norm, out=norm)
+    return np.stack([gu / norm, gv / norm, 1.0 / norm], axis=-1)
 
 
 # Margin grown around the contact's bounding box before shading. The
@@ -327,37 +336,68 @@ def render_tactile(contact, profile, rng_seed=None):
     color. With a positive noise sigma, Gaussian readout noise seeded by
     ``rng_seed`` is added before the clamp to [0, 255].
 
-    Only the contact's bounding box, grown by two pixels and clipped to
-    the pad, is shaded and written into a copy of the background; the
-    result is the full-frame render, bit for bit. Outside the box the
-    gel is flat, so n = (0, 0, 1), n . l = l_z < 0 for every light (all
-    sit above the gel plane) and each light adds +0.0; a uint8 byte
-    survives the float clamp and round unchanged. Inside it,
-    ``np.gradient`` on the crop takes the same central differences as
-    on the full frame, except on the crop's rim, where the full frame's
-    differences of flat pixels and the crop's one-sided ones are both
-    0. Noise touches every pixel, so a noisy profile shades the whole
-    frame, drawing the noise in the same order as ever; an empty
-    contact without noise returns the background.
+    This is the one-contact case of ``render_contacts``, which says
+    which pixels are shaded and why the result is the full-frame
+    render, bit for bit.
     """
-    h, w = contact.penetration.shape
+    images, depths = render_contacts([contact], profile, [rng_seed])
+    return images[0], depths[0]
+
+
+def render_contacts(contacts, profile, rng_seeds=None):
+    """Render K contacts on one grid of one profile in a single pass.
+
+    Returns (K, H, W, 3) uint8 images and (K, H, W) float32 depth maps;
+    frame k is ``render_tactile(contacts[k], profile, rng_seeds[k])``,
+    bit for bit. ``rng_seeds`` may be None for a noiseless profile.
+
+    Only the union of the contacts' bounding boxes, each grown by two
+    pixels, clipped to the pad, is shaded and written into copies of
+    the background. That box holds each frame's own grown box, and
+    outside a frame's own box its gel is flat: n = (0, 0, 1),
+    n . l = l_z < 0 for every light (all sit above the gel plane), so
+    each light adds +0.0 and a uint8 byte survives the float clamp and
+    round unchanged. Inside it, ``np.gradient`` on the crop takes the
+    same central differences as on the full frame, except on the crop's
+    rim, where the full frame's differences of flat pixels and the
+    crop's one-sided ones are both 0. Every step is elementwise or
+    per pixel (a light's dot products are one matmul with a row per
+    pixel), so shading K frames together gives each frame the numbers
+    it gets alone, while each array operation runs once per batch
+    instead of once per frame. Noise touches every pixel, so a noisy
+    profile shades whole frames, drawing frame k's noise from its own
+    ``rng_seeds[k]`` stream as ever; frames without contact and without
+    noise are the background.
+    """
+    grids = {(c.penetration.shape, c.pixel_area) for c in contacts}
+    if len(grids) != 1:
+        raise ContractError("render_contacts needs one or more contacts on one grid")
     noisy = profile.noise_sigma > 0.0
-    if noisy and rng_seed is None:
+    if noisy and (rng_seeds is None or any(seed is None for seed in rng_seeds)):
         raise ContractError("profile has sensor noise; pass rng_seed to render_tactile")
-    depth = contact.penetration.astype(np.float32)
-    image = profile.background(h, w).copy()
-    box = _shade_box(contact.penetration, whole_frame=noisy)
+    penetration = np.stack([c.penetration for c in contacts])
+    k, h, w = penetration.shape
+    depths = penetration.astype(np.float32)
+    images = np.empty((k, h, w, 3), dtype=np.uint8)
+    images[:] = profile.background(h, w)
+    box = _shade_box(penetration.max(axis=0), whole_frame=noisy)
     if box is None:
-        return image, depth
-    img = image[box].astype(np.float64)
-    penetration = contact.penetration[box]
+        return images, depths
+    box = (slice(None), *box)
+    # colour planes first, (3, K, h, w), so each light's per-channel
+    # product runs over whole planes
+    img = np.moveaxis(images[box], -1, 0).astype(np.float64)
+    penetration = penetration[box]
     if (penetration > 0.0).any():
-        normals = surface_normals(penetration, float(np.sqrt(contact.pixel_area)))
+        normals = surface_normals(penetration, float(np.sqrt(contacts[0].pixel_area)))
         for light in profile.lights:
-            lam = np.maximum(normals @ light.direction(), 0.0)
-            img += light.gain * lam[..., None] * np.asarray(light.color)
+            lit = light.gain * np.maximum(normals @ light.direction(), 0.0)
+            for plane, color in zip(img, light.color):
+                plane += lit * color
     if noisy:
-        rng = np.random.default_rng(rng_seed)
-        img += rng.normal(0.0, profile.noise_sigma, size=img.shape)
-    image[box] = np.rint(np.clip(img, 0.0, 255.0)).astype(np.uint8)
-    return image, depth
+        for frame, seed in enumerate(rng_seeds):
+            noise = np.random.default_rng(seed).normal(0.0, profile.noise_sigma,
+                                                       size=(h, w, 3))
+            img[:, frame] += np.moveaxis(noise, -1, 0)
+    images[box] = np.moveaxis(np.rint(np.clip(img, 0.0, 255.0)).astype(np.uint8), 0, -1)
+    return images, depths

@@ -94,6 +94,12 @@ def per_axis_mae(target, pred):
 
 # -- data assembly ----------------------------------------------------------
 
+# Samples preprocessed together. It bounds the chunk's buffers (about
+# 0.2 MB a sample on 64 x 48 frames) while paying each array
+# operation's per-call cost once per chunk.
+_PREPROCESS_CHUNK = 32
+
+
 def make_training_arrays(samples, normalizer, size=32):
     """Preprocess raw samples into model-ready arrays.
 
@@ -103,24 +109,35 @@ def make_training_arrays(samples, normalizer, size=32):
     both come out at it, since the decoder reconstructs depth at the
     input size. Returns a dict with images (N, S, S, 3) in [-1, 1],
     forces (N, 3), and depths (N, S, S) in [0, 1].
+
+    Samples are grouped by image shape and preprocessed in chunks of up
+    to `_PREPROCESS_CHUNK` by `dataset.preprocess_chunk`, each row landing
+    at its sample's position; every row holds exactly what
+    `dataset.preprocess` gives that sample alone.
     """
     if not samples:
         raise ContractError("cannot assemble arrays from an empty sample list")
-    backgrounds = {}
-    images, forces, depths = [], [], []
-    for s in samples:
-        pid = s.profile_id
-        if pid not in backgrounds:
-            profile = get_profile(PROFILE_NAMES[pid])
-            backgrounds[pid] = profile.background(*s.image.shape[:2])
-        t, d = dsmod.preprocess(s.image, backgrounds[pid], s.depth, normalizer, size=size)
-        images.append(t)
-        forces.append(s.force.astype(np.float64))
-        depths.append(d)
+    images = np.empty((len(samples), size, size, 3))
+    depths = np.empty((len(samples), size, size))
+    by_shape = {}
+    for i, s in enumerate(samples):
+        by_shape.setdefault(s.image.shape, []).append(i)
+    for (h, w, _), rows in by_shape.items():
+        for start in range(0, len(rows), _PREPROCESS_CHUNK):
+            chunk = rows[start:start + _PREPROCESS_CHUNK]
+            group = [samples[i] for i in chunk]
+            backgrounds = [get_profile(PROFILE_NAMES[s.profile_id]).background(h, w)
+                           for s in group]
+            t, d = dsmod.preprocess_chunk(
+                np.stack([s.image for s in group], axis=-1),
+                np.stack(backgrounds, axis=-1),
+                np.stack([s.depth for s in group], axis=-1), normalizer, size)
+            images[chunk] = np.moveaxis(t, -1, 0)
+            depths[chunk] = np.moveaxis(d, -1, 0)
     return {
-        "images": np.stack(images),
-        "forces": np.stack(forces),
-        "depths": np.stack(depths),
+        "images": images,
+        "forces": np.stack([s.force.astype(np.float64) for s in samples]),
+        "depths": depths,
     }
 
 

@@ -112,3 +112,100 @@ class TestCorruption:
         path.write_bytes(b"FAFW" + struct.pack("<H", 1) + body)
         with pytest.raises(FormatError, match="truncated dims"):
             ckpt.load_arrays(path)
+
+    def test_rank_above_numpy_limit_reports_its_offset(self, tmp_path):
+        path = tmp_path / "r.fafw"
+        body = struct.pack("<H", 1) + b"w" + struct.pack("<B", 182) + b"\x00" * 64
+        path.write_bytes(b"FAFW" + struct.pack("<H", 1) + body)
+        with pytest.raises(FormatError, match="rank 182") as exc:
+            ckpt.load_arrays(path)
+        assert exc.value.offset == 9
+
+    def test_duplicate_record_names_rejected(self, tmp_path):
+        path = tmp_path / "dup.fafw"
+        ckpt.save_arrays(path, {"w": np.ones(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob + blob[6:])
+        with pytest.raises(FormatError, match="duplicate") as exc:
+            ckpt.load_arrays(path)
+        assert exc.value.offset == len(blob) + 2
+
+    def test_empty_array_with_oversized_dims(self, tmp_path):
+        path = tmp_path / "big.fafw"
+        dims = (0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+        body = struct.pack("<H", 1) + b"w" + struct.pack("<B", 4) + struct.pack("<4I", *dims)
+        path.write_bytes(b"FAFW" + struct.pack("<H", 1) + body)
+        with pytest.raises(FormatError, match="too big") as exc:
+            ckpt.load_arrays(path)
+        assert exc.value.offset == 10
+
+
+class TestContainerFuzz:
+    """Seeded corruption of a saved checkpoint. `load_arrays` and
+    `load_model` either raise FormatError or return arrays that save
+    back to exactly the bytes they read; nothing else."""
+
+    PARAMS = {"enc.w": (3, 2), "enc.b": (2,), "head.w": (2, 1, 2)}
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rng = np.random.default_rng(21)
+        params = {k: ad.parameter(rng.normal(size=shape)) for k, shape in self.PARAMS.items()}
+        extra = {"adam.t": np.array(4.0), "adam.empty": np.zeros((0, 3))}
+        path = tmp_path_factory.mktemp("fuzz") / "m.fafw"
+        ckpt.save_model(path, params, extra=extra)
+        ends = [6]  # where each record ends, after the 6-byte header
+        fields = set(range(6))
+        for name, arr in [*((k, p.data) for k, p in params.items()), *extra.items()]:
+            start = ends[-1]
+            for size in (2, len(name.encode()), 1, 4 * arr.ndim, 8 * arr.size):
+                fields.add(start)
+                start += size
+            ends.append(start)
+        return path.read_bytes(), sorted(fields), ends
+
+    def load_or_format_error(self, tmp_path, blob):
+        path = tmp_path / "fuzzed.fafw"
+        path.write_bytes(blob)
+        try:
+            arrays = ckpt.load_arrays(path)
+        except FormatError:
+            arrays = None
+        else:
+            ckpt.save_arrays(tmp_path / "again.fafw", arrays)
+            assert (tmp_path / "again.fafw").read_bytes() == blob
+        params = {k: ad.parameter(np.zeros(shape)) for k, shape in self.PARAMS.items()}
+        try:
+            leftover = ckpt.load_model(path, params)
+        except FormatError:
+            return arrays
+        ckpt.save_model(tmp_path / "model.fafw", params, extra=leftover)
+        assert (tmp_path / "model.fafw").read_bytes() == blob
+        return arrays
+
+    def test_truncation_at_every_header_and_record_boundary(self, tmp_path, saved):
+        blob, fields, ends = saved
+        assert ends[-1] == len(blob)
+        for cut in sorted({*fields, *ends, *(f + 1 for f in fields[:-1])}):
+            got = self.load_or_format_error(tmp_path, blob[:cut])
+            # a cut between records leaves a shorter, valid checkpoint
+            assert (got is not None) == (cut in ends), cut
+
+    def test_seeded_byte_flips(self, tmp_path, saved):
+        blob, _, _ = saved
+        rng = np.random.default_rng(22)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(400):
+            fuzzed = bytearray(blob)
+            at = int(rng.integers(len(blob)))
+            fuzzed[at] ^= int(rng.integers(1, 256))
+            got = self.load_or_format_error(tmp_path, bytes(fuzzed))
+            outcomes["rejected" if got is None else "loaded"] += 1
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0, outcomes
+
+    def test_trailing_bytes(self, tmp_path, saved):
+        blob, _, ends = saved
+        rng = np.random.default_rng(23)
+        last = blob[ends[-2]:]
+        for extra in (b"\x00", bytes(rng.integers(0, 256, 7, dtype=np.uint8)), last):
+            assert self.load_or_format_error(tmp_path, blob + extra) is None

@@ -19,6 +19,7 @@ from scipy import ndimage
 
 from tacforce import dataset as ds
 from tacforce import sensor as sen
+from tacforce import training
 from tacforce.errors import ContractError, FormatError, ShapeError
 from tacforce.geometry import PoseRange
 from tacforce.indenters import INDENTER_IDS, INDENTER_NAMES, get_indenter
@@ -242,17 +243,102 @@ class TestPreprocess:
                 assert np.array_equal(d, reference_resize(norm.normalize(depth), size, size))
 
     def test_resize_grid_is_cached_read_only(self):
-        grid = ds._resize_grid(48, 64, 32, 32)
-        assert ds._resize_grid(48, 64, 32, 32) is grid
-        assert grid.shape == (2, 32, 32) and not grid.flags.writeable
+        plan = ds._tap_plan(48, 64, 32)
+        assert ds._tap_plan(48, 64, 32) is plan
+        assert len(plan) == 4
+        for idx, w_row, w_col in plan:
+            assert idx.shape == (32 * 32,) and w_row.shape == w_col.shape == (32 * 32, 1)
+            assert not any(arr.flags.writeable for arr in (idx, w_row, w_col))
 
     def test_resize_is_corner_aligned(self):
         # corner-aligned bilinear maps the input corners onto the output
         # corners exactly
         ramp = np.tile(np.linspace(0.0, 1.0, 64), (64, 1))
-        out = ds._resize_bilinear(ramp, 32, 32)
+        out = ds._resize(ramp.reshape(-1, 1), ds._tap_plan(64, 64, 32)).reshape(32, 32)
         assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert out[0, -1] == pytest.approx(1.0, abs=1e-12)
+
+
+def map_coordinates_preprocess(sample, normalizer, size):
+    """`preprocess` as map_coordinates computes it, one plane at a time:
+    the reference the chunked tap plans must match bit for bit."""
+    h, w = sample.depth.shape
+    bg = get_profile(PROFILE_NAMES[sample.profile_id]).background(h, w)
+    side = max(h, w)
+    padded = np.zeros((side, side, 3))
+    top, left = (side - h) // 2, (side - w) // 2
+    padded[top:top + h, left:left + w] = np.clip(
+        (sample.image.astype(np.float64) - bg.astype(np.float64)) / 255.0, -1.0, 1.0)
+
+    def resize(img):
+        grid = np.meshgrid(np.linspace(0.0, img.shape[0] - 1.0, size),
+                           np.linspace(0.0, img.shape[1] - 1.0, size), indexing="ij")
+        return ndimage.map_coordinates(img, grid, order=1, mode="nearest")
+
+    image = np.stack([resize(padded[..., c]) for c in range(3)], axis=-1)
+    return image, resize(normalizer.normalize(sample.depth))
+
+
+class TestChunkedPreprocess:
+    """`make_training_arrays` preprocesses chunks of samples with tap
+    plans; every row must be map_coordinates' bits, signed zeros
+    included (compared as uint64)."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        out = []
+        for tool, profile, pose in (("ring", "sensor1-gel1", (1.0, -2.0, 0, 5, 8, 40)),
+                                    ("wedge", "digit", (-3.0, 2.5, 0, -10, 4, 120)),
+                                    ("cube", "sensor3-gel2", (8.0, -8.0, 0, 0, 0, 15))):
+            out += ds.run_indentation(tool, pose, get_profile(profile), step=0.1)
+        assert len(out) > training._PREPROCESS_CHUNK + 1
+        return out
+
+    @staticmethod
+    def assert_rows_match(arrays, samples, normalizer, size):
+        assert arrays["images"].shape == (len(samples), size, size, 3)
+        for row, s in enumerate(samples):
+            image, depth = map_coordinates_preprocess(s, normalizer, size)
+            assert np.array_equal(arrays["images"][row].view(np.uint64),
+                                  image.view(np.uint64)), (row, size)
+            assert np.array_equal(arrays["depths"][row].view(np.uint64),
+                                  depth.view(np.uint64)), (row, size)
+            assert np.array_equal(arrays["forces"][row], s.force.astype(np.float64))
+
+    def test_matches_map_coordinates(self, samples):
+        norm = ds.DepthNormalizer.from_samples(samples)
+        rng = np.random.default_rng(8)
+        for n in (1, 2, training._PREPROCESS_CHUNK + 1):
+            picked = [samples[i] for i in rng.choice(len(samples), n, replace=False)]
+            for size in (16, 17, 32, 48):
+                arrays = training.make_training_arrays(picked, norm, size=size)
+                self.assert_rows_match(arrays, picked, norm, size)
+
+    def test_mixed_shapes_keep_their_rows(self, samples):
+        # four shapes interleaved; each row is its own sample's preprocess.
+        # On the 7 x 10 one, 1 - (1 - t) differs from the fraction t,
+        # so the second tap's weight must be map_coordinates' form.
+        rng = np.random.default_rng(9)
+        mixed = []
+        for i, s in enumerate(samples[:2 * training._PREPROCESS_CHUNK]):
+            h, w = ((48, 64), (30, 40), (64, 24), (7, 10))[i % 4]
+            mixed.append(ds.TactileSample(
+                image=rng.integers(0, 256, (h, w, 3), dtype=np.uint8),
+                depth=rng.uniform(0.0, 2.0, (h, w)), force=s.force, pose=s.pose,
+                indenter_id=s.indenter_id, profile_id=s.profile_id))
+        norm = ds.DepthNormalizer(min_val=0.0, max_val=2.0, eps=0.1)
+        for size in (16, 32):
+            arrays = training.make_training_arrays(mixed, norm, size=size)
+            self.assert_rows_match(arrays, mixed, norm, size)
+
+    def test_one_sample_preprocess_is_the_chunk_row(self, samples):
+        norm = ds.DepthNormalizer.from_samples(samples)
+        arrays = training.make_training_arrays(samples[:3], norm, size=17)
+        for row, s in enumerate(samples[:3]):
+            t, d = ds.preprocess(s.image, get_profile(PROFILE_NAMES[s.profile_id]).background(),
+                                 s.depth, norm, size=17)
+            assert np.array_equal(t.view(np.uint64), arrays["images"][row].view(np.uint64))
+            assert np.array_equal(d.view(np.uint64), arrays["depths"][row].view(np.uint64))
 
 
 class TestBalance:

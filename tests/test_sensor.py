@@ -12,8 +12,10 @@ implementation from the grid definition (64x48 pixels, 0.375 mm pitch):
 import numpy as np
 import pytest
 
+from tacforce import dataset as ds
 from tacforce import sensor as sen
 from tacforce.errors import ContractError, SafetyError
+from tacforce.geometry import euler_to_matrix
 from tacforce.indenters import CATALOG, get_indenter
 from tacforce.profiles import PROFILE_NAMES, get_profile
 
@@ -292,6 +294,20 @@ class TestRendering:
         n = sen.surface_normals(c.penetration, sen.PIXEL_PITCH)
         np.testing.assert_allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
 
+    def test_normals_match_the_linalg_norm_formula(self):
+        # surface_normals sums the length elementwise; the bits must be
+        # those of np.linalg.norm over the stacked (gu, gv, 1)
+        rng = np.random.default_rng(12)
+        fields = [np.maximum(rng.normal(0.0, 10.0 ** e, size=(3, 17, 23)), 0.0)
+                  for e in range(-3, 2)]
+        for tool in ("cone", "cross", "big_sphere"):
+            pose = sen.ToolPose(x=1.0, roll=20.0, yaw=30.0)
+            fields.append(sen.compute_contact(get_indenter(tool), pose, 1.3).penetration)
+        for field in fields:
+            got = sen.surface_normals(field, sen.PIXEL_PITCH)
+            assert got.view(np.uint64).tobytes() == reference_normals(
+                field, sen.PIXEL_PITCH).view(np.uint64).tobytes()
+
     def test_noise_needs_seed_and_is_reproducible(self):
         profile = get_profile("sensor1-gel1").replace(noise_sigma=2.0)
         c = sen.compute_contact(get_indenter("cube"), center_pose(), 1.0)
@@ -304,13 +320,21 @@ class TestRendering:
         assert not np.array_equal(a, other)
 
 
+def reference_normals(penetration, pixel_pitch):
+    """Unit normals of the deformed gel, normalised by np.linalg.norm."""
+    gv, gu = np.gradient(penetration, pixel_pitch, axis=(-2, -1))
+    n = np.stack([gu, gv, np.ones_like(penetration)], axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    return n
+
+
 def reference_render(contact, profile, rng_seed=None):
     """The full-frame shader: every pixel shaded, then noised, then
     clamped and rounded. `render_tactile` must match it bit for bit."""
     h, w = contact.penetration.shape
     img = profile.background(h, w).astype(np.float64)
     if contact.mask.any():
-        normals = sen.surface_normals(contact.penetration, float(np.sqrt(contact.pixel_area)))
+        normals = reference_normals(contact.penetration, float(np.sqrt(contact.pixel_area)))
         for light in profile.lights:
             lam = np.maximum(normals @ light.direction(), 0.0)
             img += light.gain * lam[..., None] * np.asarray(light.color)
@@ -363,6 +387,64 @@ class TestBoxedRendering:
         a[0, 0] = 0
         b, _ = sen.render_tactile(c, profile)
         np.testing.assert_array_equal(b, profile.background())
+
+
+class TestBatchedRendering:
+    """`render_contacts` shades a trajectory's frames together over the
+    union of their boxes; each frame must be the bytes `render_tactile`
+    gives it alone."""
+
+    TRAJECTORIES = {
+        "centred": sen.ToolPose(yaw=20.0),
+        "pad-edge": sen.ToolPose(x=8.0, y=-8.0, yaw=35.0),
+        "tilted": sen.ToolPose(x=-2.0, y=1.5, roll=30.0, pitch=-30.0, yaw=70.0),
+        "tilted-back": sen.ToolPose(x=1.0, y=-0.5, roll=-30.0, pitch=30.0, yaw=-40.0),
+    }
+    DEPTHS = (0.0, 0.05, 0.4, 0.9, 1.6, 2.4)
+
+    @pytest.mark.parametrize("tool", sorted(CATALOG))
+    def test_matches_per_frame_renders(self, tool):
+        indenter = get_indenter(tool)
+        for k, name in enumerate(PROFILE_NAMES):
+            for sigma in (0.0, 2.5):
+                profile = get_profile(name).replace(noise_sigma=sigma)
+                for label, pose in self.TRAJECTORIES.items():
+                    contacts = [sen.compute_contact(indenter, pose, d, profile)
+                                for d in self.DEPTHS]
+                    seeds = [(k, j) for j in range(len(contacts))]
+                    images, depths = sen.render_contacts(contacts, profile, seeds)
+                    where = f"{tool} {name} sigma={sigma} {label}"
+                    assert images.dtype == np.uint8 and depths.dtype == np.float32, where
+                    for c, seed, image, depth in zip(contacts, seeds, images, depths):
+                        alone, alone_depth = sen.render_tactile(c, profile, rng_seed=seed)
+                        assert image.tobytes() == alone.tobytes(), where
+                        assert depth.tobytes() == alone_depth.tobytes(), where
+
+    def test_trajectory_blocks_match_per_frame_renders(self):
+        # a trajectory longer than one render block, on a noisy profile
+        profile = get_profile("sensor2-gel3").replace(noise_sigma=1.5)
+        pose = sen.ToolPose(x=1.0, roll=10.0)
+        samples = ds.run_indentation("big_sphere", pose, profile, step=0.05, rng_seed=4)
+        assert len(samples) > 2 * ds._RENDER_BLOCK
+        axis_z = euler_to_matrix(pose.roll, pose.pitch, pose.yaw)[2, 2]
+        for j, s in enumerate(samples, start=1):
+            contact = sen.compute_contact(get_indenter("big_sphere"), pose, j * 0.05 * axis_z,
+                                          profile)
+            image, depth = sen.render_tactile(contact, profile, rng_seed=(4, j))
+            assert s.image.tobytes() == image.tobytes(), j
+            assert s.depth.tobytes() == depth.tobytes(), j
+
+    def test_needs_one_grid_and_seeds_for_noise(self):
+        profile = get_profile("digit")
+        native = sen.compute_contact(get_indenter("cube"), center_pose(), 0.5, profile)
+        fine = sen.compute_contact(get_indenter("cube"), center_pose(), 0.5, profile, scale=2)
+        with pytest.raises(ContractError):
+            sen.render_contacts([native, fine], profile)
+        with pytest.raises(ContractError):
+            sen.render_contacts([], profile)
+        noisy = profile.replace(noise_sigma=1.0)
+        with pytest.raises(ContractError):
+            sen.render_contacts([native, native], noisy, [1, None])
 
 
 class TestForceInversion:

@@ -1,7 +1,8 @@
 """Hash every output of a small seeded CLI pipeline.
 
 Runs the `tacforce` subcommands in a fresh temporary directory, from
-dataset generation on all ten indenters through training, evaluation,
+dataset generation on all ten indenters (at the default pose range and
+over the whole safe envelope) through training, evaluation,
 calibration and the downstream tasks, and prints one `sha256  name`
 line per output file and per command's stdout. Every subcommand is a pure function of its
 flags and --seed, so two checkouts that behave the same print the same
@@ -41,11 +42,15 @@ DEFORM_NET = ["--target", "0.2", "--seed", "5"]
 TOOLS = ("big_sphere", "small_sphere", "cylinder", "triple_cylinder", "ring", "cross",
          "cube", "cone", "wedge", "ellipsoid")
 
+GEN = ["dataset", "gen", "--count", "2", *(a for t in TOOLS for a in ("--tool", t)),
+       "--profile", "sensor1-gel1", "--profile", "digit",
+       "--step", "0.4", "--f-max", "6", "--seed", "11"]
+
 # (name, argv); each command writes to --out <name>
 PIPELINE = [
-    ("gen", ["dataset", "gen", "--count", "2", *(a for t in TOOLS for a in ("--tool", t)),
-             "--profile", "sensor1-gel1", "--profile", "digit",
-             "--step", "0.4", "--f-max", "6", "--seed", "11"]),
+    ("gen", GEN),
+    # the whole safe envelope, so pad-edge and tilted contacts are rendered too
+    ("gen-envelope", [*GEN, "--pose-range", "8", "8", "30", "30", "180"]),
     ("balance", ["dataset", "balance", "--data", "gen/dataset.faf", "--seed", "2"]),
     ("stats", ["dataset", "stats", "--data", "balance/balanced.faf"]),
     ("train-vit", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
