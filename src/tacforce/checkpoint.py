@@ -118,12 +118,20 @@ def save_model(path, named_params, extra=None):
 
 
 def load_model(path, named_params):
-    """Load arrays into existing parameter tensors in place.
+    """Load a checkpoint file into existing parameter tensors in place.
 
     Returns the leftover records (e.g. optimizer state) that did not
     match any parameter name.
     """
-    arrays = load_arrays(path)
+    return load_params(load_arrays(path), named_params)
+
+
+def load_params(arrays, named_params):
+    """Move the records of ``arrays`` named like parameters into them.
+
+    ``arrays`` is a dict as `load_arrays` returns it; the matched records
+    are popped from it, and the rest are returned.
+    """
     missing = [k for k in named_params if k not in arrays]
     if missing:
         raise FormatError(f"checkpoint is missing parameters: {missing[:4]}")

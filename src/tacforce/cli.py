@@ -25,7 +25,7 @@ from . import dataset as ds
 from . import svgplot
 from .calibration import (FinetuneScope, collect_calibration, default_scope,
                           catastrophic_forgetting_check, finetune)
-from .checkpoint import load_arrays, load_model, save_model
+from .checkpoint import load_arrays, load_params, save_model
 from .errors import (ContractError, DegenerateInputError, FormatError,
                      SafetyError, ShapeError, TacforceError, TaskFailure,
                      TrainingDiverged)
@@ -51,31 +51,6 @@ EXIT_CODES = {
 _ENCODERS = ("vit", "conv")
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved invocation: subcommand, paths, profiles, seed, overrides."""
-
-    subcommand: str
-    out_dir: str
-    seed: int = 0
-    data: str = None
-    checkpoints: tuple = ()
-    profiles: tuple = ()
-    model_overrides: dict = dataclasses.field(default_factory=dict)
-    train_overrides: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        if not os.access(self.out_dir, os.W_OK):
-            raise ContractError(f"output directory {self.out_dir!r} is not writable")
-        for name in self.profiles:
-            if name not in PROFILE_IDS:
-                raise ContractError(f"unknown profile {name!r}")
-
-    def path(self, name):
-        return os.path.join(self.out_dir, name)
-
-
 # -- small shared helpers -----------------------------------------------------
 
 def _cell_text(value):
@@ -93,7 +68,21 @@ def write_csv(path, header, rows):
             fh.write(",".join(_cell_text(v) for v in row) + "\n")
 
 
+def _out(args, name):
+    return os.path.join(args.out, name)
+
+
+def _fits(value, kind):
+    """Whether a JSON value fits a config field of type ``kind``."""
+    if isinstance(value, bool):  # a bool is an int to Python, not to the config
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _read_config(path):
+    """The config file's sections, checked against the config dataclasses."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -101,32 +90,37 @@ def _read_config(path):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"config {path!r} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"config {path!r} is not UTF-8: {exc}") from None
     if not isinstance(raw, dict):
         raise FormatError(f"config {path!r} must hold a JSON object")
     unknown = set(raw) - {"model", "train"}
     if unknown:
         raise ContractError(f"unknown config sections {sorted(unknown)}")
     for section, cls in (("model", ModelConfig), ("train", TrainConfig)):
-        fields = {f.name for f in dataclasses.fields(cls)}
-        bad = set(raw.get(section, {})) - fields
+        values = raw.get(section, {})
+        if not isinstance(values, dict):
+            raise FormatError(f"config section {section!r} must be a JSON object")
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        bad = set(values) - set(fields)
         if bad:
             raise ContractError(f"unknown {section} config keys {sorted(bad)}")
+        if section == "train" and "seed" in values:
+            raise ContractError("train.seed is not a config key; pass --seed")
+        for key, value in values.items():
+            if not _fits(value, fields[key]):
+                raise ContractError(f"{section}.{key} must be a JSON "
+                                    f"{fields[key].__name__}, got {value!r}")
     return raw
 
 
-def _model_config(rc):
-    return ModelConfig(**rc.model_overrides)
-
-
-def _train_config(rc, args):
-    merged = dict(rc.train_overrides)
-    for key in ("epochs", "batch_size", "backbone_lr", "head_lr", "alpha", "beta_w"):
-        value = getattr(args, key, None)
+def _train_config(args):
+    """The config's train section, with every flag given on the command line winning."""
+    merged = dict(args.config.get("train", {}))
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            merged[key] = value
-    merged["seed"] = rc.seed
-    merged["frozen_backbone"] = bool(getattr(args, "frozen_backbone", False))
-    merged["with_decoder"] = not getattr(args, "no_decoder", False)
+            merged[field.name] = value
     return TrainConfig(**merged)
 
 
@@ -167,7 +161,7 @@ def _load_net(path):
         net = ForceNet(config, seed=0)
     except ContractError as exc:
         raise FormatError(f"checkpoint {path!r}: invalid meta.model: {exc}") from None
-    load_model(path, net.named_params())
+    load_params(arrays, net.named_params())
     normalizer = ds.DepthNormalizer(float(norm[0]), float(norm[1]), float(norm[2]))
     return net, normalizer, config
 
@@ -186,13 +180,15 @@ def _eval_cells(samples, normalizer, size=32):
             for name, group in sorted(groups.items())}
 
 
-def _histogram_rows(report):
+def _write_histogram(path, report):
+    """Write the per-tool fz histogram of a `ds.stats` report; returns its rows."""
     rows = []
     for tool in sorted(report["per_indenter"]):
         entry = report["per_indenter"][tool]
         for b in sorted(entry["fz_bins"]):
             rows.append((tool, b * report["bin_width"],
                          (b + 1) * report["bin_width"], entry["fz_bins"][b]))
+    write_csv(path, ("tool", "bin_lo_n", "bin_hi_n", "count"), rows)
     return rows
 
 
@@ -212,7 +208,7 @@ def _bin_ratio(report, lo=0.5, hi=12.0):
 
 # -- dataset ------------------------------------------------------------------
 
-def cmd_dataset_gen(rc, args):
+def cmd_dataset_gen(args):
     tools = args.tool or ["big_sphere", "cube"]
     for name in tools:
         if name not in INDENTER_IDS:
@@ -223,34 +219,28 @@ def cmd_dataset_gen(rc, args):
     if args.count == 0:
         samples = []
     else:
-        samples = ds.generate_dataset(tools, list(rc.profiles), args.count,
+        samples = ds.generate_dataset(tools, list(args.profile), args.count,
                                       pose_range=pose_range, step=args.step,
-                                      f_max=args.f_max, seed=rc.seed)
-    ds.store(samples, rc.path("dataset.faf"))
-    report = ds.stats(samples, bin_width=args.bin)
-    write_csv(rc.path("histogram.csv"), ("tool", "bin_lo_n", "bin_hi_n", "count"),
-              _histogram_rows(report))
-    print(f"wrote {len(samples)} samples to {rc.path('dataset.faf')}")
+                                      f_max=args.f_max, seed=args.seed)
+    ds.store(samples, _out(args, "dataset.faf"))
+    _write_histogram(_out(args, "histogram.csv"), ds.stats(samples, bin_width=args.bin))
+    print(f"wrote {len(samples)} samples to {_out(args, 'dataset.faf')}")
     return 0
 
 
-def cmd_dataset_balance(rc, args):
+def cmd_dataset_balance(args):
     samples = ds.load(args.data)
-    balanced = ds.balance(samples, bin_width=args.bin, seed=rc.seed)
-    ds.store(balanced, rc.path("balanced.faf"))
-    report = ds.stats(balanced, bin_width=args.bin)
-    write_csv(rc.path("histogram.csv"), ("tool", "bin_lo_n", "bin_hi_n", "count"),
-              _histogram_rows(report))
+    balanced = ds.balance(samples, bin_width=args.bin, seed=args.seed)
+    ds.store(balanced, _out(args, "balanced.faf"))
+    _write_histogram(_out(args, "histogram.csv"), ds.stats(balanced, bin_width=args.bin))
     print(f"balanced {len(samples)} -> {len(balanced)} samples")
     return 0
 
 
-def cmd_dataset_stats(rc, args):
+def cmd_dataset_stats(args):
     samples = ds.load(args.data)
     report = ds.stats(samples, bin_width=args.bin)
-    rows = _histogram_rows(report)
-    write_csv(rc.path("stats.csv"), ("tool", "bin_lo_n", "bin_hi_n", "count"), rows)
-    for tool, lo, hi, count in rows:
+    for tool, lo, hi, count in _write_histogram(_out(args, "stats.csv"), report):
         print(f"{tool}  [{lo:.2f}, {hi:.2f}) N  {count}")
     if samples:
         forces = np.stack([s.force for s in samples])
@@ -263,23 +253,26 @@ def cmd_dataset_stats(rc, args):
 
 # -- train / eval -------------------------------------------------------------
 
-def cmd_train(rc, args):
-    samples = ds.load(rc.data)
+def cmd_train(args):
+    samples = ds.load(args.data)
     normalizer = ds.DepthNormalizer.from_samples(samples)
-    config = _model_config(rc)
+    model_fields = dict(args.config.get("model", {}))
+    if args.conv_encoder:
+        model_fields["encoder"] = "conv"
+    config = ModelConfig(**model_fields)
     data = make_training_arrays(samples, normalizer, size=config.input_size)
-    cfg = _train_config(rc, args)
-    net = ForceNet(config, seed=rc.seed)
+    cfg = _train_config(args)
+    net = ForceNet(config, seed=args.seed)
     curve = train(data, net, cfg)
-    _save_net(rc.path("model.fafw"), net, config, normalizer)
-    write_csv(rc.path("loss.csv"),
+    _save_net(_out(args, "model.fafw"), net, config, normalizer)
+    write_csv(_out(args, "loss.csv"),
               ("epoch", "loss_force", "loss_depth", "loss_total"), curve)
     if len(curve):
         svgplot.line_plot([("L_F", curve[:, 0], curve[:, 1]),
                            ("L_D", curve[:, 0], curve[:, 2]),
                            ("L", curve[:, 0], curve[:, 3])],
                           title="training loss", xlabel="epoch", ylabel="loss",
-                          path=rc.path("loss.svg"))
+                          path=_out(args, "loss.svg"))
     final = curve[-1, 3] if len(curve) else float("nan")
     print(f"trained {cfg.epochs} epochs on {len(samples)} samples, "
           f"final loss {final:.6g}")
@@ -294,19 +287,19 @@ def _pooled_mae(report):
     return mae / total
 
 
-def cmd_eval(rc, args):
-    samples = ds.load(rc.data)
+def cmd_eval(args):
+    samples = ds.load(args.data)
     summary = []
     if args.estimator == "oracle":
         cells = _eval_cells(samples, ds.DepthNormalizer.identity())
         report = evaluate(cells, oracle_estimator())
         labels = [("oracle", report)]
     else:
-        if not rc.checkpoints:
+        if not args.checkpoint:
             raise ContractError("eval with the net estimator needs --checkpoint")
         labels = []
         seen = {}
-        for path in rc.checkpoints:
+        for path in args.checkpoint:
             net, normalizer, config = _load_net(path)
             cells = _eval_cells(samples, normalizer, size=config.input_size)
             report = evaluate(cells, model_estimator(net))
@@ -315,7 +308,7 @@ def cmd_eval(rc, args):
             label = stem if seen[stem] == 1 else f"{stem}-{seen[stem]}"
             labels.append((label, report))
     for label, report in labels:
-        write_csv(rc.path(f"eval_{label}.csv"),
+        write_csv(_out(args, f"eval_{label}.csv"),
                   ("cell", "count", "normalized_error", "mae_x", "mae_y", "mae_z"),
                   report.rows())
         total = sum(c["count"] for c in report.cells.values())
@@ -323,7 +316,7 @@ def cmd_eval(rc, args):
                         *_pooled_mae(report)))
         print(f"{label}: normalized error {report.mean_normalized_error:.6g} "
               f"over {total} samples")
-    write_csv(rc.path("summary.csv"),
+    write_csv(_out(args, "summary.csv"),
               ("model", "count", "normalized_error", "mae_x", "mae_y", "mae_z"),
               summary)
     return 0
@@ -331,23 +324,23 @@ def cmd_eval(rc, args):
 
 # -- calibration ---------------------------------------------------------------
 
-def cmd_calibrate(rc, args):
-    if len(rc.profiles) != 1:
+def cmd_calibrate(args):
+    if len(args.profile) != 1:
         raise ContractError("calibrate expects exactly one --profile")
-    profile_name = rc.profiles[0]
-    path = rc.checkpoints[0]
-    net, normalizer, config = _load_net(path)
-    net_before, _, _ = _load_net(path)
+    profile_name = args.profile[0]
+    net, normalizer, config = _load_net(args.checkpoint)
+    # the forgetting table compares against the checkpoint as loaded
+    net_before = _load_net(args.checkpoint)[0] if args.data else None
     samples = collect_calibration(get_profile(profile_name), n=args.samples,
-                                  seed=rc.seed)
+                                  seed=args.seed)
     if args.scope == "auto":
         scope = default_scope(profile_name)
     else:
         scope = FinetuneScope(args.scope)
     report = finetune(net, samples, normalizer, scope=scope, steps=args.steps,
-                      lr=args.lr, seed=rc.seed, holdout_frac=args.holdout)
-    _save_net(rc.path("calibrated.fafw"), net, config, normalizer)
-    write_csv(rc.path("calibration.csv"),
+                      lr=args.lr, seed=args.seed, holdout_frac=args.holdout)
+    _save_net(_out(args, "calibrated.fafw"), net, config, normalizer)
+    write_csv(_out(args, "calibration.csv"),
               ("profile", "scope", "steps", "samples", "pre_error", "post_error",
                "pre_fit_error", "post_fit_error"),
               [(profile_name, scope.value, report.steps, len(samples),
@@ -355,63 +348,70 @@ def cmd_calibrate(rc, args):
                 report.post_fit_error)])
     print(f"{profile_name} ({scope.value}, {report.steps} steps): "
           f"held-out force error {report.pre_error:.6g} -> {report.post_error:.6g} N")
-    if rc.data:
-        cells = _eval_cells(ds.load(rc.data), normalizer, size=config.input_size)
+    if args.data:
+        cells = _eval_cells(ds.load(args.data), normalizer, size=config.input_size)
         deltas = catastrophic_forgetting_check(net_before, net, cells)
-        write_csv(rc.path("forgetting.csv"), ("cell", "error_increment_frac"),
+        write_csv(_out(args, "forgetting.csv"), ("cell", "error_increment_frac"),
                   sorted(deltas.items()))
     return 0
 
 
 # -- downstream tasks -----------------------------------------------------------
 
-def _task_estimator(rc, args, profile):
-    if len(rc.profiles) != 1:
+def _task_estimator(args, profile):
+    if len(args.profile) != 1:
         raise ContractError("tasks run on exactly one --profile")
     if args.estimator == "oracle":
-        return oracle_readout_estimator(profile), None
-    if not rc.checkpoints:
+        return oracle_readout_estimator(profile)
+    if not args.checkpoint:
         raise ContractError("the net estimator needs --checkpoint")
-    net, normalizer, _ = _load_net(rc.checkpoints[0])
-    return net_estimator(net, normalizer), net
+    net, normalizer, _ = _load_net(args.checkpoint[0])
+    return net_estimator(net, normalizer)
 
 
-def cmd_task_weigh(rc, args):
-    profile_name = rc.profiles[0]
+def cmd_task_weigh(args):
+    profile_name = args.profile[0]
     profile = get_profile(profile_name)
-    estimator, _ = _task_estimator(rc, args, profile)
+    estimator = _task_estimator(args, profile)
     scenario = PushScenario(mass=args.mass, mu=args.mu, profile_name=profile_name,
                             n_frames=args.frames, ramp_frames=args.ramp,
                             noise_n=args.noise)
-    traces = [simulate_push(scenario, seed=rc.seed + t) for t in range(args.trials)]
+    traces = [simulate_push(scenario, seed=args.seed + t) for t in range(args.trials)]
+    # each push goes through the estimator once; both weighings reuse its readings
+    readings = {id(trace.samples): np.asarray(estimator(trace.samples), dtype=np.float64)
+                for trace in traces}
+
+    def recall(samples):
+        return readings[id(samples)]
+
     rows = []
     series = []
     for t, trace in enumerate(traces):
-        m_hat, rep = estimate_weight(trace, args.mu, estimator)
+        m_hat, rep = estimate_weight(trace, args.mu, recall)
         rows.append((f"{t + 1}", rep.estimated_force, m_hat, rep.mass_error))
-        est = np.asarray(estimator(trace.samples), dtype=np.float64)
-        series.append((f"push {t + 1}", np.arange(len(trace.samples)), est[:, 2]))
-    mass, pooled = estimate_weight(traces, args.mu, estimator)
+        series.append((f"push {t + 1}", np.arange(len(trace.samples)),
+                       recall(trace.samples)[:, 2]))
+    mass, pooled = estimate_weight(traces, args.mu, recall)
     rows.append(("pooled", pooled.estimated_force, mass, pooled.mass_error))
-    write_csv(rc.path("weigh.csv"),
+    write_csv(_out(args, "weigh.csv"),
               ("trial", "estimated_force_n", "estimated_mass_kg", "mass_error_kg"),
               rows)
     svgplot.line_plot(series, title=f"pushes, m={args.mass} kg, mu={args.mu}",
                       xlabel="frame", ylabel="estimated F^z (N)",
-                      path=rc.path("weigh.svg"))
+                      path=_out(args, "weigh.svg"))
     print(f"estimated mass {mass:.6g} kg (true {args.mass} kg, "
           f"error {pooled.mass_error:.6g} kg)")
     return 0
 
 
-def cmd_task_deform(rc, args):
-    profile_name = rc.profiles[0]
+def cmd_task_deform(args):
+    profile_name = args.profile[0]
     profile = get_profile(profile_name)
-    estimator, _ = _task_estimator(rc, args, profile)
+    estimator = _task_estimator(args, profile)
     cup = CupModel(rim_noise_px=args.rim_noise)
     report = grasp_to_force(args.target, args.step_mm, estimator, cup=cup,
-                            profile_name=profile_name, seed=rc.seed)
-    write_csv(rc.path("deform.csv"),
+                            profile_name=profile_name, seed=args.seed)
+    write_csv(_out(args, "deform.csv"),
               ("target_n", "achieved_n", "estimated_n", "steps",
                "deformation_pct", "estimated_deformation_pct"),
               [(args.target, report.true_force, report.estimated_force,
@@ -422,7 +422,7 @@ def cmd_task_deform(rc, args):
     svgplot.line_plot([("grip force", steps, grip),
                        ("target", steps, np.full(len(steps), args.target))],
                       title="grasp to force", xlabel="closure step",
-                      ylabel="F^z (N)", path=rc.path("deform.svg"))
+                      ylabel="F^z (N)", path=_out(args, "deform.svg"))
     print(f"reached {report.true_force:.6g} N for target {args.target} N in "
           f"{report.steps} steps; deformation {report.deformation_pct:.6g}%")
     return 0
@@ -489,8 +489,11 @@ def build_parser():
                               "decayed 10x for the last fifth of the epochs")
     p_train.add_argument("--alpha", type=float, default=None)
     p_train.add_argument("--beta-w", type=float, default=None)
-    p_train.add_argument("--frozen-backbone", action="store_true")
-    p_train.add_argument("--no-decoder", action="store_true")
+    # given flags win over the config's train section; absent ones leave it be
+    p_train.add_argument("--frozen-backbone", action="store_const", const=True,
+                         default=None)
+    p_train.add_argument("--no-decoder", dest="with_decoder", action="store_const",
+                         const=False, default=None)
     p_train.add_argument("--conv-encoder", action="store_true")
 
     p_eval = sub.add_parser("eval", parents=[common], help="score checkpoints")
@@ -545,23 +548,16 @@ _DEFAULT_PROFILES = {
 
 
 def _dispatch(args):
-    config = _read_config(args.config)
+    # from here on args.config holds the parsed sections, not the path
+    args.config = _read_config(args.config)
+    args.profile = tuple(args.profile or _DEFAULT_PROFILES[args.command])
+    os.makedirs(args.out, exist_ok=True)
+    if not os.access(args.out, os.W_OK):
+        raise ContractError(f"output directory {args.out!r} is not writable")
+    for name in args.profile:
+        if name not in PROFILE_IDS:
+            raise ContractError(f"unknown profile {name!r}")
     name = args.command + (f" {args.action}" if getattr(args, "action", None) else "")
-    checkpoint = getattr(args, "checkpoint", None) or ()
-    if isinstance(checkpoint, str):
-        checkpoint = (checkpoint,)
-    rc = RunConfig(
-        subcommand=name,
-        out_dir=args.out,
-        seed=args.seed,
-        data=getattr(args, "data", None),
-        checkpoints=tuple(checkpoint),
-        profiles=tuple(args.profile or _DEFAULT_PROFILES[args.command]),
-        model_overrides={**config.get("model", {}),
-                         **({"encoder": "conv"}
-                            if getattr(args, "conv_encoder", False) else {})},
-        train_overrides=dict(config.get("train", {})),
-    )
     handlers = {
         "dataset gen": cmd_dataset_gen,
         "dataset balance": cmd_dataset_balance,
@@ -572,7 +568,7 @@ def _dispatch(args):
         "task weigh": cmd_task_weigh,
         "task deform": cmd_task_deform,
     }
-    return handlers[name](rc, args)
+    return handlers[name](args)
 
 
 def main(argv=None):

@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import struct
 
 import numpy as np
@@ -397,10 +398,14 @@ def manifest(samples):
     }
 
 
-def _need(blob, offset, nbytes, what):
-    if offset + nbytes > len(blob):
+def _need(fh, size, offset, nbytes, what):
+    """The next ``nbytes`` of the open file, in a buffer numpy can own."""
+    if offset + nbytes > size:
         raise FormatError(f"truncated while reading {what}", offset=offset)
-    return blob[offset:offset + nbytes], offset + nbytes
+    raw = bytearray(nbytes)
+    if fh.readinto(raw) != nbytes:  # the file shrank while it was read
+        raise FormatError(f"truncated while reading {what}", offset=offset)
+    return raw, offset + nbytes
 
 
 def _finite(raw, k, what, offset):
@@ -413,53 +418,53 @@ def _finite(raw, k, what, offset):
 def load(path):
     """Read a FAF1 file back into a list of samples (bit-exact).
 
-    A malformed file raises FormatError with the byte offset of the bad
-    field: a truncated or empty record, trailing bytes, an unknown tool
-    or profile id, a depth map with a negative or non-finite value, or
-    a non-finite force or pose.
+    Records are read from the open file one at a time, each field
+    checked against the file's size before it is read, so loading holds
+    no copy of the file in memory. A malformed file raises FormatError
+    with the byte offset of the bad field: a truncated or empty record,
+    trailing bytes, an unknown tool or profile id, a depth map with a
+    negative or non-finite value, or a non-finite force or pose.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    raw, off = _need(blob, 0, 4, "magic")
-    if raw != _MAGIC:
-        raise FormatError(f"bad magic {raw!r}, expected {_MAGIC!r}", offset=0)
-    raw, off = _need(blob, off, 2, "version")
-    version = struct.unpack("<H", raw)[0]
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    raw, off = _need(blob, off, 4, "sample count")
-    count = struct.unpack("<I", raw)[0]
-    samples = []
-    for k in range(count):
-        raw, off = _need(blob, off, 4, f"record {k} dims")
-        h, w = struct.unpack("<HH", raw)
-        if h == 0 or w == 0:
-            raise FormatError(f"record {k} has an empty {h}x{w} image", offset=off - 4)
-        raw, off = _need(blob, off, h * w * 3, f"record {k} image")
-        image = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-        raw, off = _need(blob, off, 4 * h * w, f"record {k} depth map")
-        depth = np.frombuffer(raw, dtype="<f4").reshape(h, w)
-        if not (np.isfinite(depth).all() and depth.min() >= 0):
-            raise FormatError(f"record {k} depth map holds a negative or non-finite value",
-                              offset=off - 4 * h * w)
-        raw, off = _need(blob, off, 12, f"record {k} force")
-        force = _finite(raw, k, "force", off - 12)
-        raw, off = _need(blob, off, 24, f"record {k} pose")
-        pose = _finite(raw, k, "pose", off - 24)
-        raw, off = _need(blob, off, 4, f"record {k} ids")
-        indenter_id, profile_id = struct.unpack("<HH", raw)
-        if indenter_id >= len(INDENTER_NAMES):
-            raise FormatError(f"record {k} has unknown indenter id {indenter_id}",
-                              offset=off - 4)
-        if profile_id >= len(PROFILE_NAMES):
-            raise FormatError(f"record {k} has unknown profile id {profile_id}",
-                              offset=off - 2)
-        samples.append(TactileSample(image=image.copy(), depth=depth.copy(),
-                                     force=force.copy(), pose=pose.copy(),
-                                     indenter_id=indenter_id, profile_id=profile_id))
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} trailing bytes after the last record",
-                          offset=off)
+        size = os.fstat(fh.fileno()).st_size
+        raw, off = _need(fh, size, 0, 4, "magic")
+        if raw != _MAGIC:
+            raise FormatError(f"bad magic {bytes(raw)!r}, expected {_MAGIC!r}", offset=0)
+        raw, off = _need(fh, size, off, 2, "version")
+        version = struct.unpack("<H", raw)[0]
+        if version != _VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        raw, off = _need(fh, size, off, 4, "sample count")
+        count = struct.unpack("<I", raw)[0]
+        samples = []
+        for k in range(count):
+            raw, off = _need(fh, size, off, 4, f"record {k} dims")
+            h, w = struct.unpack("<HH", raw)
+            if h == 0 or w == 0:
+                raise FormatError(f"record {k} has an empty {h}x{w} image", offset=off - 4)
+            raw, off = _need(fh, size, off, h * w * 3, f"record {k} image")
+            image = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+            raw, off = _need(fh, size, off, 4 * h * w, f"record {k} depth map")
+            depth = np.frombuffer(raw, dtype="<f4").reshape(h, w)
+            if not (np.isfinite(depth).all() and depth.min() >= 0):
+                raise FormatError(f"record {k} depth map holds a negative or non-finite "
+                                  f"value", offset=off - 4 * h * w)
+            raw, off = _need(fh, size, off, 12, f"record {k} force")
+            force = _finite(raw, k, "force", off - 12)
+            raw, off = _need(fh, size, off, 24, f"record {k} pose")
+            pose = _finite(raw, k, "pose", off - 24)
+            raw, off = _need(fh, size, off, 4, f"record {k} ids")
+            indenter_id, profile_id = struct.unpack("<HH", raw)
+            if indenter_id >= len(INDENTER_NAMES):
+                raise FormatError(f"record {k} has unknown indenter id {indenter_id}",
+                                  offset=off - 4)
+            if profile_id >= len(PROFILE_NAMES):
+                raise FormatError(f"record {k} has unknown profile id {profile_id}",
+                                  offset=off - 2)
+            samples.append(TactileSample(image=image, depth=depth, force=force, pose=pose,
+                                         indenter_id=indenter_id, profile_id=profile_id))
+    if off != size:
+        raise FormatError(f"{size - off} trailing bytes after the last record", offset=off)
     return samples
 
 

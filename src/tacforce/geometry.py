@@ -54,17 +54,6 @@ class RigidTransform:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def inverse(self):
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
-    def compose(self, other):
-        """self after other: (self @ other)(p) = self(other(p))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def __repr__(self):
         return f"RigidTransform(t={self.translation.round(6).tolist()})"
 

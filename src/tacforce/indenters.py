@@ -1,9 +1,8 @@
 """Rigid indentation tools ("indenters") in canonical pose.
 
 Every tool is modeled in a canonical frame with its contact tip touching
-z = 0 and the body extending upward (+z). Three independent geometric
-views are exposed per tool, which the tests cross-check against each
-other:
+z = 0 and the body extending upward (+z). The simulator uses two
+geometric views of each tool:
 
 * ``line_min(origins, direction)``: exact line-solid intersection. For
   each line o_i + s * dir it returns the smallest parameter s inside
@@ -12,28 +11,15 @@ other:
 * ``support(u)``: the support function max_{x in S} u . x, used to
   place a rotated tool so its lowest point sits exactly at the
   commanded indentation depth.
-* ``sdf(points)``: a signed distance bound. The sign is exact (negative
-  strictly inside, positive strictly outside) and the field is
-  1-Lipschitz; the magnitude may underestimate true distance for the
-  non-convex tools.
 
 ``contains(points)`` evaluates the defining inequalities directly and
-is the ground truth the other views are tested against.
+is the ground truth both views are tested against.
 """
-
 import numpy as np
 
 from .geometry import PoseRange
 
 _EPS = 1e-12
-
-
-def _full_interval(n):
-    return np.full(n, -np.inf), np.full(n, np.inf)
-
-
-def _empty_interval(n):
-    return np.full(n, np.inf), np.full(n, -np.inf)
 
 
 def _intersect(a, b):
@@ -127,14 +113,7 @@ class Indenter:
     def support(self, u):
         raise NotImplementedError
 
-    def sdf(self, points):
-        raise NotImplementedError
-
     def contains(self, points):
-        raise NotImplementedError
-
-    def bounding_radius(self):
-        """Radius of an origin-centered ball containing the whole tool."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -158,16 +137,9 @@ class Sphere(Indenter):
         u = np.asarray(u, dtype=np.float64)
         return float(u @ self.center + self.radius * np.linalg.norm(u))
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        return np.linalg.norm(p - self.center, axis=-1) - self.radius
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         return np.sum((p - self.center) ** 2, axis=-1) <= self.radius**2
-
-    def bounding_radius(self):
-        return float(np.linalg.norm(self.center) + self.radius)
 
 
 class Cylinder(Indenter):
@@ -199,22 +171,10 @@ class Cylinder(Indenter):
         return float(u[0] * self.cx + u[1] * self.cy + self.radius * r_xy
                      + max(0.0, u[2] * self.height))
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        radial = np.hypot(p[..., 0] - self.cx, p[..., 1] - self.cy) - self.radius
-        axial = np.maximum(-p[..., 2], p[..., 2] - self.height)
-        out = np.hypot(np.maximum(radial, 0.0), np.maximum(axial, 0.0))
-        inner = np.minimum(np.maximum(radial, axial), 0.0)
-        return out + inner
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         r2 = (p[..., 0] - self.cx) ** 2 + (p[..., 1] - self.cy) ** 2
         return (r2 <= self.radius**2) & (p[..., 2] >= 0.0) & (p[..., 2] <= self.height)
-
-    def bounding_radius(self):
-        reach = np.hypot(self.cx, self.cy) + self.radius
-        return float(np.hypot(reach, self.height))
 
 
 class Box(Indenter):
@@ -239,26 +199,11 @@ class Box(Indenter):
                      + self.hx * abs(u[0]) + self.hy * abs(u[1])
                      + max(0.0, u[2] * self.height))
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        dx = np.abs(p[..., 0] - self.cx) - self.hx
-        dy = np.abs(p[..., 1] - self.cy) - self.hy
-        dz = np.maximum(-p[..., 2], p[..., 2] - self.height)
-        q = np.stack([np.maximum(dx, 0.0), np.maximum(dy, 0.0), np.maximum(dz, 0.0)], axis=-1)
-        out = np.linalg.norm(q, axis=-1)
-        inner = np.minimum(np.maximum(dx, np.maximum(dy, dz)), 0.0)
-        return out + inner
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         return ((np.abs(p[..., 0] - self.cx) <= self.hx)
                 & (np.abs(p[..., 1] - self.cy) <= self.hy)
                 & (p[..., 2] >= 0.0) & (p[..., 2] <= self.height))
-
-    def bounding_radius(self):
-        rx = abs(self.cx) + self.hx
-        ry = abs(self.cy) + self.hy
-        return float(np.sqrt(rx * rx + ry * ry + self.height**2))
 
 
 class Cone(Indenter):
@@ -284,22 +229,11 @@ class Cone(Indenter):
         base = self.base_radius * float(np.hypot(u[0], u[1])) + u[2] * self.height
         return float(max(0.0, base))
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        r = np.hypot(p[..., 0], p[..., 1])
-        # signed distance to the slanted surface in the (r, z) half-plane
-        slant = (r - self.k * p[..., 2]) / np.hypot(1.0, self.k)
-        axial = np.maximum(-p[..., 2], p[..., 2] - self.height)
-        return np.maximum(slant, axial)
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         r2 = p[..., 0] ** 2 + p[..., 1] ** 2
         z = p[..., 2]
         return (z >= 0.0) & (z <= self.height) & (r2 <= (self.k * z) ** 2)
-
-    def bounding_radius(self):
-        return float(np.hypot(self.base_radius, self.height))
 
 
 class Wedge(Indenter):
@@ -338,23 +272,12 @@ class Wedge(Indenter):
         ])
         return float((verts @ u).max())
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        inv = np.hypot(1.0, self.m)
-        slant = (np.abs(p[..., 0]) - self.m * p[..., 2]) / inv
-        other = np.maximum(np.abs(p[..., 1]) - self.hl,
-                           np.maximum(-p[..., 2], p[..., 2] - self.height))
-        return np.maximum(slant, other)
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         z = p[..., 2]
         return ((z >= 0.0) & (z <= self.height)
                 & (np.abs(p[..., 0]) <= self.m * z)
                 & (np.abs(p[..., 1]) <= self.hl))
-
-    def bounding_radius(self):
-        return float(np.sqrt(self.hw**2 + self.hl**2 + self.height**2))
 
 
 def _halfspace(o, u, normal, offset):
@@ -391,20 +314,10 @@ class Ellipsoid(Indenter):
         u = np.asarray(u, dtype=np.float64)
         return float(u @ self.center + np.linalg.norm(self.axes * u))
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        rel = (p - self.center) / self.axes
-        k = np.linalg.norm(rel, axis=-1)
-        # scale by the smallest semi-axis: keeps the bound 1-Lipschitz
-        return (k - 1.0) * float(self.axes.min())
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         rel = (p - self.center) / self.axes
         return np.sum(rel * rel, axis=-1) <= 1.0
-
-    def bounding_radius(self):
-        return float(np.linalg.norm(self.center) + self.axes.max())
 
 
 class Union(Indenter):
@@ -423,17 +336,11 @@ class Union(Indenter):
     def support(self, u):
         return max(part.support(u) for part in self.parts)
 
-    def sdf(self, points):
-        return np.minimum.reduce([part.sdf(points) for part in self.parts])
-
     def contains(self, points):
         out = self.parts[0].contains(points)
         for part in self.parts[1:]:
             out = out | part.contains(points)
         return out
-
-    def bounding_radius(self):
-        return max(part.bounding_radius() for part in self.parts)
 
 
 class Ring(Indenter):
@@ -467,18 +374,10 @@ class Ring(Indenter):
     def support(self, u):
         return self.outer.support(u)
 
-    def sdf(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        hole = self.inner_radius - np.hypot(p[..., 0], p[..., 1])
-        return np.maximum(self.outer.sdf(p), hole)
-
     def contains(self, points):
         p = np.asarray(points, dtype=np.float64)
         r2 = p[..., 0] ** 2 + p[..., 1] ** 2
         return self.outer.contains(p) & (r2 >= self.inner_radius**2)
-
-    def bounding_radius(self):
-        return self.outer.bounding_radius()
 
 
 def _make_catalog():
@@ -514,3 +413,4 @@ def get_indenter(name):
         return CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown indenter {name!r}; choices: {', '.join(INDENTER_NAMES)}") from None
+

@@ -320,9 +320,6 @@ class ForceNet:
     def regress(self, x):
         return self.regressor(x)
 
-    def decode(self, x):
-        return self.decoder(x)
-
     def forward(self, images, with_depth=True):
         x = self.encode(images)
         force = self.regressor(x)
@@ -348,6 +345,3 @@ class ForceNet:
     def head_params(self):
         return ([p for _, p in self.regressor.named_params()]
                 + [p for _, p in self.decoder.named_params()])
-
-    def param_count(self):
-        return int(sum(p.data.size for p in self.named_params().values()))

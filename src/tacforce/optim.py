@@ -14,18 +14,14 @@ class Adam:
     def __init__(self, groups, beta1=0.9, beta2=0.999, eps=1e-8):
         """`groups` is a list of dicts: {"params": [Tensor, ...], "lr": float}.
 
-        A bare list of tensors is accepted as shorthand for one group,
-        in which case a top-level `lr` must be supplied via a dict.
+        Anything else, a bare list of tensors included, raises
+        ContractError.
         """
         if not groups:
             raise ContractError("Adam needs at least one parameter group")
-        if isinstance(groups[0], dict):
-            self.groups = []
-            for g in groups:
-                params = list(g["params"])
-                self.groups.append({"params": params, "lr": float(g["lr"])})
-        else:
+        if not all(isinstance(g, dict) for g in groups):
             raise ContractError("pass parameter groups as dicts with 'params' and 'lr'")
+        self.groups = [{"params": list(g["params"]), "lr": float(g["lr"])} for g in groups]
         seen = set()
         for g in self.groups:
             for p in g["params"]:

@@ -76,9 +76,6 @@ class ToolPose:
     pitch: float = 0.0
     yaw: float = 0.0
 
-    def as_array(self):
-        return np.array([self.x, self.y, self.roll, self.pitch, self.yaw])
-
     @classmethod
     def from_array(cls, arr):
         return cls(*(float(v) for v in arr[:5]))
@@ -97,10 +94,6 @@ class ContactState:
     @property
     def mask(self):
         return self.penetration > 0.0
-
-    @property
-    def contact_area(self):
-        return float(self.mask.sum() * self.pixel_area)
 
     @property
     def displaced_volume(self):

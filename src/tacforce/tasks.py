@@ -161,10 +161,6 @@ class TaskReport:
     steps: int = 0
 
     @property
-    def force_error(self):
-        return abs(self.estimated_force - self.true_force)
-
-    @property
     def mass_error(self):
         return abs(self.estimated_mass - self.true_mass)
 

@@ -6,7 +6,7 @@ import pytest
 
 import tacforce.errors as errors_mod
 from tacforce.checkpoint import load_arrays, save_arrays
-from tacforce.cli import EXIT_CODES, RunConfig, _load_net, build_parser, main
+from tacforce.cli import EXIT_CODES, _load_net, build_parser, main
 from tacforce.dataset import load
 from tacforce.errors import ContractError, FormatError, TacforceError
 from tacforce.model import ForceNet
@@ -15,6 +15,27 @@ from tacforce.sensor import GRAVITY_MS2
 TINY = {"model": {"embed_dim": 16, "depth": 1, "heads": 2, "decoder_channels": 8},
         "train": {"epochs": 2, "batch_size": 8,
                   "backbone_lr": 1e-3, "head_lr": 1e-3}}
+
+# (file bytes, error) for configs `train --config` must reject without a
+# traceback: a non-object or non-UTF-8 file or section is a FormatError,
+# an unknown key or a value whose JSON type does not fit its field a
+# ContractError
+BAD_CONFIGS = [
+    (b'{"model": {"embed_dim": 16}, "mystery": {}}', ContractError),
+    (b'{"train": {"not_a_knob": 1}}', ContractError),
+    (b"{nope", FormatError),
+    (b'{"model": {"encoder": "\xff"}}', FormatError),
+    (b'{"model": 5}', FormatError),
+    (b'{"train": [1]}', FormatError),
+    (b'{"model": {"embed_dim": "16"}}', ContractError),
+    (b'{"model": {"embed_dim": true}}', ContractError),
+    (b'{"model": {"encoder": 1}}', ContractError),
+    (b'{"train": {"epochs": 2.5}}', ContractError),
+    (b'{"train": {"batch_size": "8"}}', ContractError),
+    (b'{"train": {"head_lr": "0.1"}}', ContractError),
+    (b'{"train": {"frozen_backbone": 1}}', ContractError),
+    (b'{"train": {"seed": 7}}', ContractError),
+]
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +75,15 @@ class TestExitCodes:
             assert f"{code}  {klass.__name__}" in text
 
 
-class TestRunConfig:
+class TestDispatch:
     def test_unknown_profile_rejected(self, tmp_path):
-        with pytest.raises(ContractError):
-            RunConfig(subcommand="x", out_dir=str(tmp_path), profiles=("nope",))
+        assert main(["task", "deform", "--out", str(tmp_path), "--target", "1",
+                     "--profile", "nope"]) == EXIT_CODES[ContractError]
 
     def test_creates_out_dir(self, tmp_path):
-        rc = RunConfig(subcommand="x", out_dir=str(tmp_path / "deep" / "er"))
-        assert os.path.isdir(rc.out_dir)
+        out = tmp_path / "deep" / "er"
+        assert main(["dataset", "gen", "--out", str(out), "--count", "0"]) == 0
+        assert os.path.isdir(out) and (out / "dataset.faf").exists()
 
 
 class TestDatasetCommands:
@@ -155,20 +177,40 @@ class TestTrain:
         _, _, config = _load_net(str(tmp_path / "model.fafw"))
         assert config.encoder == "conv"
 
-    def test_bad_config_rejected(self, workdir, tmp_path):
+    def test_bad_config_rejected(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"model": {"embed_dim": 16}, "mystery": {}}')
+        for text, error in BAD_CONFIGS:
+            bad.write_bytes(text)
+            assert main(["train", "--data", str(workdir["data"]), "--out",
+                         str(tmp_path), "--config", str(bad)]) == EXIT_CODES[error], text
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, text
+            if b"seed" in text:
+                assert "--seed" in err
+
+    def test_int_fits_a_float_field(self, workdir, tmp_path):
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps({"model": TINY["model"],
+                                   "train": {**TINY["train"], "epochs": 0,
+                                             "head_lr": 0}}), encoding="utf-8")
         assert main(["train", "--data", str(workdir["data"]), "--out",
-                     str(tmp_path), "--config", str(bad)]) == \
-            EXIT_CODES[ContractError]
-        bad.write_text('{"train": {"not_a_knob": 1}}')
-        assert main(["train", "--data", str(workdir["data"]), "--out",
-                     str(tmp_path), "--config", str(bad)]) == \
-            EXIT_CODES[ContractError]
-        bad.write_text("{nope")
-        assert main(["train", "--data", str(workdir["data"]), "--out",
-                     str(tmp_path), "--config", str(bad)]) == \
-            EXIT_CODES[errors_mod.FormatError]
+                     str(tmp_path), "--config", str(cfg)]) == 0
+
+    def test_config_ablation_keys_match_the_flags(self, workdir, tmp_path):
+        cfg = tmp_path / "ablation.json"
+        cfg.write_text(json.dumps({"model": TINY["model"],
+                                   "train": {**TINY["train"], "with_decoder": False,
+                                             "frozen_backbone": True}}),
+                       encoding="utf-8")
+        data = str(workdir["data"])
+        assert main(["train", "--data", data, "--out", str(tmp_path / "config"),
+                     "--config", str(cfg), "--seed", "3"]) == 0
+        assert main(["train", "--data", data, "--out", str(tmp_path / "flags"),
+                     "--config", str(workdir["config"]), "--no-decoder",
+                     "--frozen-backbone", "--seed", "3"]) == 0
+        by_config = (tmp_path / "config" / "model.fafw").read_bytes()
+        assert by_config == (tmp_path / "flags" / "model.fafw").read_bytes()
+        assert by_config != workdir["checkpoint"].read_bytes()
 
 
 class TestEval:

@@ -40,19 +40,6 @@ class TestRigidTransform:
         batch = t.apply(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         np.testing.assert_allclose(batch, [[1, 1, 0], [0, 0, 0]], atol=1e-12)
 
-    def test_inverse_round_trips(self):
-        rng = np.random.default_rng(3)
-        t = geo.RigidTransform.from_euler(31.0, -14.0, 215.0, rng.normal(size=3))
-        pts = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
-
-    def test_compose_matches_sequential_apply(self):
-        rng = np.random.default_rng(4)
-        a = geo.RigidTransform.from_euler(10.0, 20.0, 30.0, [1, 2, 3])
-        b = geo.RigidTransform.from_euler(-40.0, 5.0, 120.0, [0.5, -1, 2])
-        pts = rng.normal(size=(6, 3))
-        np.testing.assert_allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-
 
 class TestRegistration:
     def make_pair(self, seed, n=8, noise=0.0):

@@ -1,8 +1,8 @@
-"""Cross-checks between the three geometric views of every tool.
+"""Cross-checks between the two geometric views of every tool.
 
-`contains` (raw inequalities) is treated as ground truth; `sdf` signs
-and `line_min` entry points must agree with it, and the support
-function must dominate every inside point.
+`contains` (raw inequalities) is treated as ground truth; `line_min`
+entry points must agree with it, and the support function must
+dominate every inside point.
 """
 
 import numpy as np
@@ -61,12 +61,6 @@ class TestCanonicalPlacement:
         diam = np.sqrt((diff**2).sum(-1)).max()
         assert diam <= 20.0
 
-    def test_inside_respects_bounding_radius(self, tool):
-        rng = np.random.default_rng(7)
-        pts = sample_box_points(rng, n=6000)
-        inside = pts[tool.contains(pts)]
-        assert (np.linalg.norm(inside, axis=1) <= tool.bounding_radius() + 1e-9).all()
-
 
 class TestSupport:
     def test_support_dominates_inside_points(self, tool):
@@ -89,7 +83,10 @@ class TestSupport:
             # walk lines along -u from a far plane; entries give surface points
             grid = np.linspace(-12, 12, 41)
             gx, gy = np.meshgrid(grid, grid)
-            anchor = u * (tool.bounding_radius() + 5.0)
+            # line_min covers the whole line, so the anchor's distance
+            # along u moves no hit point; 25 mm clears every tool, since
+            # each lies within 20 mm of its tip
+            anchor = u * 25.0
             e1 = np.cross(u, [1.0, 0.3, 0.2])
             e1 /= np.linalg.norm(e1)
             e2 = np.cross(u, e1)
@@ -103,37 +100,6 @@ class TestSupport:
             assert attained >= h - 0.8  # sampling slack on curved rims
 
 
-class TestSdf:
-    def test_sign_matches_contains(self, tool):
-        rng = np.random.default_rng(10)
-        pts = sample_box_points(rng)
-        inside = tool.contains(pts)
-        d = tool.sdf(pts)
-        clear = np.abs(d) > 1e-7
-        np.testing.assert_array_equal(d[clear] < 0, inside[clear])
-
-    def test_lipschitz_one(self, tool):
-        rng = np.random.default_rng(11)
-        p = sample_box_points(rng, n=2000)
-        q = p + rng.normal(size=p.shape) * rng.uniform(0.01, 3.0, size=(len(p), 1))
-        dp = tool.sdf(p)
-        dq = tool.sdf(q)
-        gap = np.linalg.norm(p - q, axis=1)
-        assert (np.abs(dp - dq) <= gap + 1e-9).all()
-
-    def test_magnitude_is_a_lower_bound_outside(self, tool):
-        # |sdf(p)| <= true distance: the ball of radius sdf(p) around an
-        # outside point contains no solid samples
-        rng = np.random.default_rng(12)
-        pts = sample_box_points(rng, n=3000)
-        inside_pts = pts[tool.contains(pts)]
-        outside = pts[tool.sdf(pts) > 0.05]
-        d_out = tool.sdf(outside)
-        for p, dist in zip(outside[:200], d_out[:200]):
-            gaps = np.linalg.norm(inside_pts - p, axis=1)
-            assert gaps.min() >= dist - 1e-9
-
-
 class TestLineQueries:
     def test_entry_points_lie_on_the_boundary(self, tool):
         rng = np.random.default_rng(13)
@@ -143,8 +109,11 @@ class TestLineQueries:
         hit, smin = tool.line_min(origins, direction)
         pts = origins[hit] + smin[hit, None] * direction
         assert len(pts) > 20
-        d = tool.sdf(pts)
-        assert np.abs(d).max() < 1e-7
+        # line_min is the first inside parameter: just before the entry
+        # the line is outside, just after it inside
+        eps = 1e-7
+        assert not tool.contains(pts - eps * direction).any()
+        assert tool.contains(pts + eps * direction).all()
 
     def test_matches_brute_force_scan(self, tool):
         rng = np.random.default_rng(14)

@@ -11,6 +11,10 @@ from tacforce.sensor import ToolPose, compute_contact, render_tactile
 from tacforce.indenters import get_indenter
 
 
+def count_parameters(net):
+    return sum(p.data.size for p in net.named_params().values())
+
+
 def expected_vit_params(cfg):
     """Recount the default architecture layer by layer."""
     k = cfg.embed_dim
@@ -86,11 +90,11 @@ class TestModelConfig:
 
 
 class TestForceNet:
-    def test_param_count_default(self):
+    def test_parameter_count_default(self):
         net = ForceNet()
         cfg = net.config
         expected = expected_vit_params(cfg) + expected_head_params(cfg)
-        assert net.param_count() == expected == 228004
+        assert count_parameters(net) == expected == 228004
 
     def test_named_params_unique_and_trainable(self):
         net = ForceNet()
@@ -173,7 +177,7 @@ class TestForceNet:
     def test_decoder_gradient_wrt_features(self):
         net = ForceNet(seed=8)
         x = ad.parameter(np.random.default_rng(8).normal(size=(2, 64)))
-        depth = net.decode(x)
+        depth = net.decoder(x)
         ad.backward(ad.mean(ad.square(depth)))
         assert x.grad is not None and np.any(x.grad)
 
@@ -207,12 +211,12 @@ class TestForceNet:
 
 
 class TestConvEncoder:
-    def test_param_count(self):
+    def test_parameter_count(self):
         cfg = ModelConfig(encoder="conv")
         net = ForceNet(cfg)
         plan = ((3, 16, 4), (16, 32, 3), (32, 48, 3), (48, 64, 3))
         conv = sum(co * ci * k * k + co for ci, co, k in plan)
-        assert net.param_count() == conv + expected_head_params(cfg) == 61444
+        assert count_parameters(net) == conv + expected_head_params(cfg) == 61444
 
     def test_forward_contract_matches_vit(self):
         net = ForceNet(ModelConfig(encoder="conv"), seed=13)

@@ -55,9 +55,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             uu[0, 0] = 1.0
 
-    def test_pose_array_round_trip(self):
+    def test_pose_from_array(self):
         pose = sen.ToolPose(1.0, -2.0, 3.0, -4.0, 170.0)
-        assert sen.ToolPose.from_array(pose.as_array()) == pose
+        assert sen.ToolPose.from_array([1.0, -2.0, 3.0, -4.0, 170.0, 9.0]) == pose
 
 
 class TestSphereClosedForm:

@@ -57,9 +57,14 @@ PIPELINE = [
                    "--seed", "3"]),
     ("train-conv", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
                     "--conv-encoder", "--seed", "3"]),
+    # the ablation flags, which override the config's train section
+    ("train-ablation", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
+                        "--no-decoder", "--frozen-backbone", "--seed", "3"]),
     ("eval-net", ["eval", "--data", "gen/dataset.faf",
                   "--checkpoint", "train-vit/model.fafw",
                   "--checkpoint", "train-conv/model.fafw"]),
+    ("eval-ablation", ["eval", "--data", "gen/dataset.faf",
+                       "--checkpoint", "train-ablation/model.fafw"]),
     ("eval-oracle", ["eval", "--data", "gen/dataset.faf", "--estimator", "oracle"]),
     *[(f"calibrate-{enc}-{scope}",
        ["calibrate", "--checkpoint", f"train-{enc}/model.fafw", "--scope", scope,
