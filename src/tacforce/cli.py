@@ -329,8 +329,12 @@ def cmd_calibrate(args):
         raise ContractError("calibrate expects exactly one --profile")
     profile_name = args.profile[0]
     net, normalizer, config = _load_net(args.checkpoint)
-    # the forgetting table compares against the checkpoint as loaded
-    net_before = _load_net(args.checkpoint)[0] if args.data else None
+    net_before = None
+    if args.data:
+        # the forgetting table compares against the checkpoint as loaded
+        net_before = ForceNet(config, seed=0)
+        load_params({name: p.data.copy() for name, p in net.named_params().items()},
+                    net_before.named_params())
     samples = collect_calibration(get_profile(profile_name), n=args.samples,
                                   seed=args.seed)
     if args.scope == "auto":

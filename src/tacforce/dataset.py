@@ -7,13 +7,16 @@ profile ids). Trajectories press a tool along its own axis in small
 steps and record one sample per step until the normal force reaches a
 limit or the gel runs out.
 
-The per-frame work is batched where it pays: a trajectory renders its
-accepted steps in blocks (``sensor.render_contacts``), and
+The per-frame work is batched where it pays: a trajectory simulates
+its contacts a block of steps ahead (``sensor.compute_contacts``),
+renders its accepted steps in blocks (``sensor.render_contacts``), and
 ``preprocess_chunk`` preprocesses many samples of one shape at once.
-Every operation in both is per pixel, or a resize whose arithmetic is
-``scipy.ndimage.map_coordinates``' in its order, so each sample gets
-exactly the bytes it gets alone; batching only pays each array
-operation's per-call cost once per block instead of once per frame.
+Every operation in these is per ray, per pixel, or a resize whose
+arithmetic is ``scipy.ndimage.map_coordinates``' in its order, so each
+sample gets exactly the bytes it gets alone; batching only pays each
+array operation's per-call cost once per block instead of once per
+frame. The stop rule still reads the steps' forces one at a time, so
+the steps simulated past a stop are dropped unseen.
 
 The FAF1 container is a little-endian binary format:
 
@@ -50,6 +53,9 @@ DEFAULT_BIN_WIDTH_N = 0.5
 # Accepted steps of a trajectory rendered together. It bounds the
 # contacts held and the shading buffers of one `render_contacts` call.
 _RENDER_BLOCK = 16
+# Steps of a trajectory whose contacts are simulated together, ahead of
+# the stop rule: at most this many minus one are simulated and dropped.
+_CONTACT_BLOCK = 8
 
 
 @dataclasses.dataclass(eq=False)
@@ -173,14 +179,21 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
     trajectory ends without recording as soon as the readout F^z reaches
     f_max, or when the next step would land deeper than the gel allows.
 
-    Each step's contact and force are computed as it is taken, since
-    the stop rule reads the force. The accepted steps are rendered in
-    blocks of up to ``_RENDER_BLOCK`` by ``sensor.render_contacts``,
-    which gives every frame the bytes ``render_tactile`` gives it alone,
-    step j's noise still seeded by (rng_seed, j).
+    The contacts are simulated speculatively, ``_CONTACT_BLOCK`` steps
+    that fit in the gel per ``sensor.compute_contacts`` call, each the
+    bytes ``compute_contact`` gives it alone. The stop rule is
+    unchanged: it reads each step's force in turn and ends the
+    trajectory at the first step whose F^z reaches f_max, dropping the
+    rest of that block. The accepted steps are rendered in blocks of up to
+    ``_RENDER_BLOCK`` by ``sensor.render_contacts``, which gives every
+    frame the bytes ``render_tactile`` gives it alone, step j's noise
+    still seeded by (rng_seed, j). ``step`` must be finite and
+    positive, and ``f_max`` a number (inf never stops on force).
     """
-    if step <= 0:
-        raise ContractError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ContractError(f"step must be finite and positive, got {step}")
+    if np.isnan(f_max):
+        raise ContractError("force limit f_max must be a number, got nan")
     tool_pose = pose if isinstance(pose, sensor.ToolPose) else sensor.ToolPose(
         x=float(pose[0]), y=float(pose[1]), roll=float(pose[3]),
         pitch=float(pose[4]), yaw=float(pose[5]))
@@ -210,18 +223,25 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
 def _accepted_steps(indenter, tool_pose, profile, step, axis_z, f_max):
     """Yield (j, depth, contact, force) for steps j = 1, 2, ... at
     vertical depth j * step * axis_z, until the gel runs out or F^z
-    reaches f_max."""
-    j = 1
-    while True:
-        depth = j * step * axis_z
-        if depth > profile.gel_thickness:
+    reaches f_max.
+
+    Contacts are simulated ahead, ``_CONTACT_BLOCK`` steps that fit in
+    the gel per ``sensor.compute_contacts`` call; the stop rule still
+    reads each step's force in turn, and the steps a block holds past
+    the stop are dropped.
+    """
+    for first in itertools.count(1, _CONTACT_BLOCK):
+        depths = [depth for depth in (j * step * axis_z
+                                      for j in range(first, first + _CONTACT_BLOCK))
+                  if depth <= profile.gel_thickness]
+        if not depths:
             return
-        contact = sensor.compute_contact(indenter, tool_pose, depth, profile)
-        force = sensor.oracle_force(contact, profile)
-        if force[2] >= f_max:
-            return
-        yield j, depth, contact, force
-        j += 1
+        contacts = sensor.compute_contacts(indenter, tool_pose, depths, profile)
+        for j, depth, contact in zip(itertools.count(first), depths, contacts):
+            force = sensor.oracle_force(contact, profile)
+            if force[2] >= f_max:
+                return
+            yield j, depth, contact, force
 
 
 @functools.lru_cache(maxsize=64)
@@ -300,7 +320,8 @@ def preprocess_chunk(images, backgrounds, depths, normalizer, size=32):
     """``preprocess`` on n samples of one shape at once, frames on the
     last axis.
 
-    images and backgrounds are (H, W, 3, n), depths (H, W, n); returns
+    images are (H, W, 3, n), backgrounds (H, W, 3, n) or one shared
+    (H, W, 3, 1), broadcast, and depths (H, W, n); returns
     (size, size, 3, n) and (size, size, n) float64. Each sample gets
     exactly the numbers it gets alone: the background difference,
     clip and depth normalization are elementwise, and the resize reads

@@ -83,8 +83,10 @@ class PoseRange:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            if getattr(self, field.name) < 0:
-                raise ContractError(f"pose range {field.name} must be non-negative")
+            value = getattr(self, field.name)
+            if not 0 <= value < np.inf:
+                raise ContractError(f"pose range {field.name} must be finite and "
+                                    f"non-negative, got {value}")
         if self.roll > 30.0 or self.pitch > 30.0:
             raise ContractError("tilt ranges are capped at 30 degrees")
         if self.yaw > 180.0:

@@ -17,10 +17,26 @@ Rendering shades the penetration field with the profile's directional
 lights on top of the resting background; an untouched gel reproduces
 the background exactly.
 
-Two shortcuts skip work whose result is known, a third batches it, and
+Three shortcuts skip work whose result is known, two batch it, and
 none changes an output bit. The pixel-center grid of each grid
 geometry is built once and cached read-only, since every contact on
-that grid reads the same coordinates. Rendering shades only the contact's bounding box, grown
+that grid reads the same coordinates.
+
+The contact casts only the rays that can touch the tool. A tool point
+q (tool frame) lies below the gel when n . q <= m, with n the world up
+direction in the tool frame and m = -t_z. For every lambda >= 0 its
+reach along a world axis direction e then obeys
+
+    e . q <= support(e - lambda n) + lambda m,
+
+because the support function bounds the solid's convex hull, so the
+least of a few such bounds (the Lagrangian dual of the cap's extent)
+bounds the footprint of any tool; rays more than a pixel outside it
+press nothing. ``compute_contacts`` casts the rays of several depths
+of one pose in one call, each with the arithmetic it has in a
+whole-grid cast.
+
+Rendering shades only the contact's bounding box, grown
 by two pixels: outside it the gel is flat, its normal is (0, 0, 1),
 every light shines downward, so each light adds exactly +0.0 there and
 the background byte comes back out of the round to uint8. The
@@ -137,7 +153,8 @@ def tool_transform(indenter, pose, depth):
     indentation reaches ``depth``, so the contact point slides sideways
     by drag = -depth * w_xy / w_z where w is the world tool axis. The
     vertical placement uses the support function so the tool's lowest
-    point sits exactly at z = -depth.
+    point sits exactly at z = -depth. ``depth`` may be a 1-D array, one
+    placement per entry; translation and drag then get one row each.
     """
     rot = euler_to_matrix(pose.roll, pose.pitch, pose.yaw)
     axis = rot[:, 2]  # world direction of the tool's +z
@@ -145,24 +162,40 @@ def tool_transform(indenter, pose, depth):
         raise ContractError(
             f"tool axis nearly parallel to the gel (w_z={axis[2]:.3f}); cannot press"
         )
+    depth = np.asarray(depth, dtype=np.float64)[..., None]
     drag = -depth * axis[:2] / axis[2]
     down = -rot.T @ np.array([0.0, 0.0, 1.0])
-    support = indenter.support(down)
-    tz = -depth + support
-    translation = np.array([pose.x + drag[0], pose.y + drag[1], tz])
+    tz = -depth + indenter.support(down)
+    translation = np.concatenate([pose.x + drag[..., :1], pose.y + drag[..., 1:], tz], axis=-1)
     return rot, translation, drag
 
 
-def penetration_field(indenter, rotation, translation, profile=None, scale=1):
-    """Per-pixel penetration for a tool at an explicit world transform."""
-    uu, _, points = _grid(*_grid_geometry(profile), scale)
-    origins = (points - translation) @ rotation  # rotation.T applied row-wise
-    direction = rotation.T @ np.array([0.0, 0.0, 1.0])
+# Multipliers of the footprint bound (see `compute_contacts`). Any
+# lambda >= 0 gives a sound bound; 0 is tight for flat faces and the
+# larger ones for curved or pointed tips pressed shallow.
+_BOUND_LAMBDAS = np.array([0.0, 0.5, 2.0, 8.0])
 
-    hit, smin = indenter.line_min(origins, direction)
-    delta = np.zeros(uu.size)
-    np.copyto(delta, -smin, where=hit & (smin < 0.0))
-    return delta.reshape(uu.shape)
+
+def _footprint(indenter, rot, translation, geometry, scale):
+    """(K, rows, cols) mask, one frame per placement, of the pixels the
+    tool can press: the pixel centres within the cap's reach along the
+    world axes (see `compute_contacts`) grown by one pixel pitch.
+    """
+    width_mm, _, width_px, _ = geometry
+    pitch = width_mm / width_px / scale
+    # the tool-frame directions of world +u, +v, -u, -v
+    axes = np.concatenate([rot[:2], -rot[:2]])
+    arguments = axes[:, None, :] - _BOUND_LAMBDAS[:, None] * rot[2]
+    support = np.array([[indenter.support(a) for a in row] for row in arguments])
+    cap = -translation[:, 2]
+    reach = (support + _BOUND_LAMBDAS * cap[:, None, None]).min(axis=-1)
+    hi = translation[:, :2] + reach[:, :2] + pitch
+    lo = translation[:, :2] - reach[:, 2:] - pitch
+    uu, vv, _ = _grid(*geometry, scale)
+    u, v = uu[0], vv[:, 0]
+    in_rows = (lo[:, 1, None] <= v) & (v <= hi[:, 1, None])
+    in_cols = (lo[:, 0, None] <= u) & (u <= hi[:, 0, None])
+    return in_rows[:, :, None] & in_cols[:, None, :]
 
 
 def compute_contact(indenter, pose, depth, profile=None, scale=1):
@@ -172,27 +205,76 @@ def compute_contact(indenter, pose, depth, profile=None, scale=1):
     raise SafetyError before any geometry is evaluated. ``scale``
     supersamples the grid (for integration accuracy studies); the pixel
     area shrinks accordingly so volumes stay comparable.
+
+    This is the one-depth case of ``compute_contacts``, which says which
+    rays are cast and why the result is the full grid's, bit for bit.
     """
-    if depth < 0:
-        raise ContractError(f"indentation depth must be >= 0, got {depth}")
+    return compute_contacts(indenter, pose, [depth], profile, scale)[0]
+
+
+def compute_contacts(indenter, pose, depths, profile=None, scale=1):
+    """Contacts of one tool at one pose pressed to each of ``depths`` mm.
+
+    Returns one ContactState per depth. Every pixel column is a ray
+    cast up through the tool; the tool is placed by ``tool_transform``
+    and a ray's penetration is -s_min where it enters the solid below
+    the gel surface. Only the rays that can touch are cast, all depths'
+    in one ``line_min`` call, and each keeps the arithmetic it has in a
+    whole-grid cast, so every field is the whole grid's, bit for bit;
+    the other pixels are +0.0.
+
+    Which rays can touch follows from ``support`` alone. A tool point q
+    (tool frame) lies below the gel when n . q <= m, with n = R[2] the
+    world up direction in the tool frame and m = -t_z. For a world axis
+    direction e in {+-R[0], +-R[1]} and any lambda >= 0, such a point has
+
+        e . q = (e - lambda n) . q + lambda n . q
+              <= support(e - lambda n) + lambda m,
+
+    since support bounds the solid's convex hull; so the minimum over a
+    few lambda (the Lagrangian dual of the cap's extent along e) bounds
+    the pressed footprint on each side, for any solid. The pose fixes
+    the support values, so one table of them serves all depths, and
+    each depth's m and translation give its bound. The pixel centres
+    cast are those within the bound grown by one pixel pitch, so
+    rounding in the bound or in a grazing ray cannot matter. Every ray
+    is a row of one matrix product and of elementwise operations, so
+    which other rays share its call does not change its bits, with one
+    exception: numpy hands a one-row product to a BLAS vector routine
+    that can round apart from the matrix product, so a cast of one ray
+    in all casts that depth's whole grid instead.
+    """
+    depths = [float(d) for d in depths]
     gel_thickness = DEFAULT_GEL_THICKNESS if profile is None else profile.gel_thickness
-    if depth > gel_thickness:
-        raise SafetyError(
-            f"commanded depth {depth:.3f} mm exceeds the {gel_thickness:.3f} mm gel"
-        )
+    for depth in depths:
+        if not depth >= 0:
+            raise ContractError(f"indentation depth must be >= 0, got {depth}")
+        if depth > gel_thickness:
+            raise SafetyError(
+                f"commanded depth {depth:.3f} mm exceeds the {gel_thickness:.3f} mm gel"
+            )
     if not indenter.safe_pose_range.contains(pose.x, pose.y, pose.roll, pose.pitch, pose.yaw):
         raise SafetyError(f"pose {pose} is outside the safe envelope for {indenter.name}")
-    rot, translation, drag = tool_transform(indenter, pose, depth)
-    delta = penetration_field(indenter, rot, translation, profile, scale)
+    rot, translation, drag = tool_transform(indenter, pose, depths)
+    geometry = _grid_geometry(profile)
+    _, _, points = _grid(*geometry, scale)
+    cast = _footprint(indenter, rot, translation, geometry, scale)
+    flat = np.flatnonzero(cast)
+    if flat.size == 1:
+        cast[flat[0] // len(points)] = True
+        flat = np.flatnonzero(cast)
+    delta = np.zeros(cast.shape)
+    if flat.size:
+        placement, pixel = np.divmod(flat, len(points))
+        origins = (np.take(points, pixel, axis=0)
+                   - np.take(translation, placement, axis=0)) @ rot
+        hit, smin = indenter.line_min(origins, rot.T @ np.array([0.0, 0.0, 1.0]))
+        delta[cast] = np.where(hit & (smin < 0.0), -smin, 0.0)
 
     pitch = (GRID_WIDTH_MM / GRID_WIDTH_PX if profile is None else profile.pixel_pitch) / scale
-    return ContactState(
-        penetration=delta,
-        pose=pose,
-        depth=float(depth),
-        drag=drag,
-        pixel_area=pitch * pitch,
-    )
+    return [ContactState(penetration=delta[k], pose=pose, depth=depth, drag=drag[k],
+                         pixel_area=pitch * pitch)
+            for k, depth in enumerate(depths)]
 
 
 def oracle_force(contact, profile):

@@ -46,6 +46,10 @@ class TrainConfig:
     with_decoder: bool = True
 
     def __post_init__(self):
+        for name in ("backbone_lr", "head_lr", "alpha", "beta_w"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
         # lr = 0 is allowed so "train for zero effect" stays expressible
         if self.backbone_lr < 0 or self.head_lr < 0:
             raise ContractError("learning rates must be non-negative")
@@ -110,27 +114,26 @@ def make_training_arrays(samples, normalizer, size=32):
     input size. Returns a dict with images (N, S, S, 3) in [-1, 1],
     forces (N, 3), and depths (N, S, S) in [0, 1].
 
-    Samples are grouped by image shape and preprocessed in chunks of up
-    to `_PREPROCESS_CHUNK` by `dataset.preprocess_chunk`, each row landing
-    at its sample's position; every row holds exactly what
-    `dataset.preprocess` gives that sample alone.
+    Samples are grouped by image shape and profile and preprocessed in
+    chunks of up to `_PREPROCESS_CHUNK` by `dataset.preprocess_chunk`,
+    which subtracts the group's one background from every frame by
+    broadcasting; each row lands at its sample's position and holds
+    exactly what `dataset.preprocess` gives that sample alone.
     """
     if not samples:
         raise ContractError("cannot assemble arrays from an empty sample list")
     images = np.empty((len(samples), size, size, 3))
     depths = np.empty((len(samples), size, size))
-    by_shape = {}
+    groups = {}
     for i, s in enumerate(samples):
-        by_shape.setdefault(s.image.shape, []).append(i)
-    for (h, w, _), rows in by_shape.items():
+        groups.setdefault((s.image.shape, s.profile_id), []).append(i)
+    for ((h, w, _), profile_id), rows in groups.items():
+        background = get_profile(PROFILE_NAMES[profile_id]).background(h, w)[..., None]
         for start in range(0, len(rows), _PREPROCESS_CHUNK):
             chunk = rows[start:start + _PREPROCESS_CHUNK]
             group = [samples[i] for i in chunk]
-            backgrounds = [get_profile(PROFILE_NAMES[s.profile_id]).background(h, w)
-                           for s in group]
             t, d = dsmod.preprocess_chunk(
-                np.stack([s.image for s in group], axis=-1),
-                np.stack(backgrounds, axis=-1),
+                np.stack([s.image for s in group], axis=-1), background,
                 np.stack([s.depth for s in group], axis=-1), normalizer, size)
             images[chunk] = np.moveaxis(t, -1, 0)
             depths[chunk] = np.moveaxis(d, -1, 0)

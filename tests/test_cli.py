@@ -35,6 +35,9 @@ BAD_CONFIGS = [
     (b'{"train": {"head_lr": "0.1"}}', ContractError),
     (b'{"train": {"frozen_backbone": 1}}', ContractError),
     (b'{"train": {"seed": 7}}', ContractError),
+    (b'{"train": {"head_lr": NaN}}', ContractError),
+    (b'{"train": {"backbone_lr": Infinity}}', ContractError),
+    (b'{"train": {"beta_w": -Infinity}}', ContractError),
 ]
 
 
@@ -111,6 +114,17 @@ class TestDatasetCommands:
     def test_gen_negative_count(self, tmp_path):
         assert main(["dataset", "gen", "--out", str(tmp_path),
                      "--count", "-1"]) == EXIT_CODES[ContractError]
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--step", "nan"], "step"), (["--step", "inf"], "step"),
+        (["--f-max", "nan"], "f_max"),
+        (["--pose-range", "nan", "1", "1", "1", "1"], "pose range x"),
+        (["--pose-range", "1", "inf", "1", "1", "1"], "pose range y")])
+    def test_gen_non_finite_flag_named(self, tmp_path, capsys, flags, field):
+        assert main(["dataset", "gen", "--out", str(tmp_path), "--count", "1",
+                     *flags]) == EXIT_CODES[ContractError]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
 
     def test_gen_unknown_tool_or_profile(self, tmp_path):
         code = EXIT_CODES[ContractError]

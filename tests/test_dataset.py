@@ -9,6 +9,7 @@ Frozen expectations:
   to lo everywhere lands at eps / (range + 2 eps) = 0.05 / 1.1.
 """
 
+import itertools
 import json
 import os
 import struct
@@ -21,7 +22,7 @@ from tacforce import dataset as ds
 from tacforce import sensor as sen
 from tacforce import training
 from tacforce.errors import ContractError, FormatError, ShapeError
-from tacforce.geometry import PoseRange
+from tacforce.geometry import PoseRange, euler_to_matrix
 from tacforce.indenters import INDENTER_IDS, INDENTER_NAMES, get_indenter
 from tacforce.profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
 
@@ -140,6 +141,69 @@ class TestRunIndentation:
         row = np.array([1.0, -0.5, 0.0, 5.0, -3.0, 60.0])
         out = ds.run_indentation(get_indenter("cube"), row, GEL1, step=0.4)
         assert out and out[0].pose[5] == pytest.approx(60.0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ContractError, match="step"):
+            ds.run_indentation(get_indenter("cube"), sen.ToolPose(), GEL1, step=step)
+
+    def test_force_limit_must_be_a_number(self):
+        with pytest.raises(ContractError, match="f_max"):
+            ds.run_indentation(get_indenter("cube"), sen.ToolPose(), GEL1,
+                               f_max=float("nan"))
+
+
+def reference_trajectory(indenter, pose, profile, step, f_max):
+    """(depth, force) of each accepted step, one contact at a time."""
+    axis_z = euler_to_matrix(pose.roll, pose.pitch, pose.yaw)[2, 2]
+    out = []
+    for j in itertools.count(1):
+        depth = j * step * axis_z
+        if depth > profile.gel_thickness:
+            return out
+        force = sen.oracle_force(sen.compute_contact(indenter, pose, depth, profile), profile)
+        if force[2] >= f_max:
+            return out
+        out.append((depth, force))
+
+
+class TestSpeculativeBlocks:
+    """`run_indentation` simulates contacts a block of steps ahead; the
+    samples must be the step-by-step trajectory's wherever the stop
+    falls in a block."""
+
+    POSE = sen.ToolPose(x=0.5, y=-1.0, roll=6.0, pitch=-4.0, yaw=25.0)
+    # the step that ends the trajectory: mid-block, a block's last, a
+    # block's first
+    STOPS = (ds._CONTACT_BLOCK + ds._CONTACT_BLOCK // 2, 2 * ds._CONTACT_BLOCK,
+             ds._CONTACT_BLOCK + 1)
+
+    def check(self, indenter, profile, step, f_max, stop):
+        samples = ds.run_indentation(indenter, self.POSE, profile, step=step, f_max=f_max,
+                                     rng_seed=5)
+        expected = reference_trajectory(indenter, self.POSE, profile, step, f_max)
+        assert len(samples) == len(expected) == stop - 1
+        for j, (s, (depth, force)) in enumerate(zip(samples, expected), start=1):
+            assert s.pose[2] == np.float32(-depth), j
+            assert np.array_equal(s.force, force.astype(np.float32)), j
+            contact = sen.compute_contact(indenter, self.POSE, depth, profile)
+            image, depth_map = sen.render_tactile(contact, profile, rng_seed=(5, j))
+            assert s.image.tobytes() == image.tobytes(), j
+            assert s.depth.tobytes() == depth_map.tobytes(), j
+
+    @pytest.mark.parametrize("stop", STOPS)
+    def test_force_stop(self, stop):
+        cube = get_indenter("cube")
+        step = 0.1
+        fz = [f[2] for _, f in reference_trajectory(cube, self.POSE, GEL1, step, np.inf)]
+        assert len(fz) > stop and max(fz[:stop - 1]) < fz[stop - 1]
+        self.check(cube, GEL1, step, fz[stop - 1], stop)
+
+    @pytest.mark.parametrize("stop", STOPS)
+    def test_gel_stop(self, stop):
+        axis_z = euler_to_matrix(self.POSE.roll, self.POSE.pitch, self.POSE.yaw)[2, 2]
+        step = GEL1.gel_thickness / (stop - 0.5) / axis_z
+        self.check(get_indenter("small_sphere"), GEL1, step, np.inf, stop)
 
 
 class TestDepthNormalizer:

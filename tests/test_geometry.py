@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tacforce import geometry as geo
-from tacforce.errors import DegenerateInputError
+from tacforce.errors import ContractError, DegenerateInputError
 
 
 class TestRotations:
@@ -89,3 +89,11 @@ class TestRegistration:
     def test_shape_mismatch(self):
         with pytest.raises(DegenerateInputError):
             geo.register_frames(np.zeros((4, 3)), np.zeros((5, 3)))
+
+
+class TestPoseRangeFields:
+    @pytest.mark.parametrize("field", ["x", "y", "roll", "pitch", "yaw"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_field_named(self, field, value):
+        with pytest.raises(ContractError, match=f"pose range {field} "):
+            geo.PoseRange(**{field: value})

@@ -183,10 +183,129 @@ class TestShear:
         triple = get_indenter("triple_cylinder")
         pose = center_pose(roll=3.0, pitch=8.0, yaw=15.0)
         rot, translation, _ = sen.tool_transform(triple, pose, 1.5)
-        whole = sen.penetration_field(triple, rot, translation)
-        parts = [sen.penetration_field(p, rot, translation) for p in triple.parts]
+        whole = reference_field(triple, rot, translation)
+        parts = [reference_field(p, rot, translation) for p in triple.parts]
         assert all((p > 0).any() for p in parts)
         np.testing.assert_allclose(whole, np.sum(parts, axis=0), atol=1e-12)
+
+
+def reference_field(indenter, rotation, translation, profile=None, scale=1):
+    """The whole-grid cast: one ray up through the tool per pixel centre.
+    `compute_contacts` must match it bit for bit."""
+    uu, vv = sen.pixel_grid(profile, scale)
+    points = np.stack([uu.ravel(), vv.ravel(), np.zeros(uu.size)], axis=1)
+    origins = (points - translation) @ rotation
+    hit, smin = indenter.line_min(origins, rotation.T @ np.array([0.0, 0.0, 1.0]))
+    delta = np.zeros(uu.size)
+    np.copyto(delta, -smin, where=hit & (smin < 0.0))
+    return delta.reshape(uu.shape)
+
+
+def reference_contact(indenter, pose, depth, profile=None, scale=1):
+    """(penetration, drag) of the tool pressed to one depth, placed as
+    ``tool_transform`` places it and cast over the whole grid."""
+    rot = euler_to_matrix(pose.roll, pose.pitch, pose.yaw)
+    axis = rot[:, 2]
+    drag = -depth * axis[:2] / axis[2]
+    tz = -depth + indenter.support(-rot.T @ np.array([0.0, 0.0, 1.0]))
+    translation = np.array([pose.x + drag[0], pose.y + drag[1], tz])
+    return reference_field(indenter, rot, translation, profile, scale), drag
+
+
+# a pad smaller than the safe envelope, so boxes clip to its rim
+SMALL_PAD = get_profile("digit").replace(width_mm=12.0, height_mm=9.0, width_px=32,
+                                         height_px=24, gel_thickness=2.0)
+
+
+class TestCulledCast:
+    """`compute_contacts` casts only the rays inside its footprint bound;
+    every field must be the whole-grid cast's, bit for bit."""
+
+    POSES = [sen.ToolPose(yaw=20.0)]
+    POSES += [sen.ToolPose(x=sx * 8.0, y=sy * 8.0, yaw=35.0) for sx in (-1, 1) for sy in (-1, 1)]
+    POSES += [sen.ToolPose(x=-1.0, y=2.0, roll=sr * 30.0, pitch=sp * 30.0, yaw=70.0)
+              for sr in (-1, 1) for sp in (-1, 1)]
+
+    @staticmethod
+    def depths(profile):
+        gel = profile.gel_thickness
+        return [0.0, 1e-12, gel / 2, gel]
+
+    @pytest.mark.parametrize("tool", sorted(CATALOG))
+    def test_matches_the_whole_grid_cast(self, tool):
+        indenter = get_indenter(tool)
+        profiles = [get_profile(name) for name in PROFILE_NAMES] + [SMALL_PAD]
+        for profile in profiles:
+            for scale in (1, 2):
+                for pose in self.POSES:
+                    depths = self.depths(profile)
+                    contacts = sen.compute_contacts(indenter, pose, depths, profile, scale)
+                    for depth, c in zip(depths, contacts):
+                        where = f"{tool} {profile.name} {pose} d={depth} scale={scale}"
+                        expected, drag = reference_contact(indenter, pose, depth, profile,
+                                                           scale)
+                        assert c.penetration.tobytes() == expected.tobytes(), where
+                        assert c.drag.tobytes() == drag.tobytes(), where
+                        assert c.depth == depth and c.pose == pose, where
+
+    @pytest.mark.parametrize("tool", sorted(CATALOG))
+    def test_bound_holds_every_pressed_pixel(self, tool):
+        indenter = get_indenter(tool)
+        rng = np.random.default_rng(17)
+        for profile, scale in ((get_profile("sensor1-gel1"), 1), (SMALL_PAD, 1),
+                               (get_profile("digit"), 2)):
+            geometry = sen._grid_geometry(profile)
+            for _ in range(12):
+                pose = sen.ToolPose(*rng.uniform(-8.0, 8.0, 2), *rng.uniform(-30.0, 30.0, 2),
+                                    rng.uniform(-180.0, 180.0))
+                depths = np.sort(rng.uniform(0.0, profile.gel_thickness, 4))
+                rot, translation, _ = sen.tool_transform(indenter, pose, depths)
+                cast = sen._footprint(indenter, rot, translation, geometry, scale)
+                for k, depth in enumerate(depths):
+                    pressed = reference_contact(indenter, pose, depth, profile, scale)[0] > 0
+                    assert not (pressed & ~cast[k]).any(), (tool, pose, depth)
+
+    def test_bound_is_tight_on_a_shallow_sphere(self):
+        # the cap of a big sphere pressed 0.05 mm is a disk of radius
+        # sqrt(2 R d - d^2) = 0.89 mm; the bound's box is a few pixels wide
+        indenter = get_indenter("big_sphere")
+        rot, translation, _ = sen.tool_transform(indenter, sen.ToolPose(), [0.05])
+        cast = sen._footprint(indenter, rot, translation, sen._grid_geometry(None), 1)
+        assert cast.sum() <= 10 * 10
+
+    def test_one_depth_is_the_batch_row(self):
+        for tool in sorted(CATALOG):
+            indenter = get_indenter(tool)
+            pose = sen.ToolPose(x=2.0, y=-1.0, roll=12.0, pitch=-7.0, yaw=33.0)
+            depths = [0.3, 1.1, 2.2]
+            batch = sen.compute_contacts(indenter, pose, depths, EXACT)
+            for depth, row in zip(depths, batch):
+                alone = sen.compute_contact(indenter, pose, depth, EXACT)
+                assert alone.penetration.tobytes() == row.penetration.tobytes(), tool
+                assert alone.drag.tobytes() == row.drag.tobytes(), tool
+                assert alone.pixel_area == row.pixel_area and alone.depth == row.depth
+
+    def test_one_ray_casts_the_whole_grid(self, monkeypatch):
+        # numpy hands a one-row product to a BLAS vector routine that can
+        # round apart from the grid's matrix product, so a lone ray is
+        # never cast alone
+        indenter = get_indenter("small_sphere")
+        pose = sen.ToolPose(x=1.0, y=-0.5, roll=9.0, pitch=4.0, yaw=30.0)
+        expected, _ = reference_contact(indenter, pose, 1.0)
+        row, col = np.unravel_index(np.argmax(expected), expected.shape)
+
+        def one_pixel(indenter, rot, translation, geometry, scale):
+            cast = np.zeros((len(translation), *expected.shape), dtype=bool)
+            cast[-1, row, col] = True
+            return cast
+
+        monkeypatch.setattr(sen, "_footprint", one_pixel)
+        c = sen.compute_contacts(indenter, pose, [0.5, 1.0])
+        assert c[1].penetration.tobytes() == expected.tobytes()
+        assert not c[0].penetration.any()
+
+    def test_no_depths_no_contacts(self):
+        assert sen.compute_contacts(get_indenter("cube"), sen.ToolPose(), []) == []
 
 
 class TestQuantization:
@@ -218,6 +337,15 @@ class TestSafety:
     def test_negative_depth_rejected(self):
         with pytest.raises(ContractError):
             sen.compute_contact(get_indenter("cube"), center_pose(), -0.1)
+
+    def test_non_finite_depth_rejected(self):
+        cube = get_indenter("cube")
+        with pytest.raises(ContractError, match="depth"):
+            sen.compute_contact(cube, center_pose(), float("nan"))
+        with pytest.raises(ContractError, match="depth"):
+            sen.compute_contacts(cube, center_pose(), [0.5, float("nan")])
+        with pytest.raises(SafetyError, match="exceeds"):
+            sen.compute_contacts(cube, center_pose(), [0.5, float("inf")])
 
     def test_pose_outside_safe_envelope_rejected(self):
         with pytest.raises(SafetyError, match="safe"):

@@ -156,6 +156,12 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["backbone_lr", "head_lr", "alpha", "beta_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates_and_weights(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
 
 class TestTrainLoop:
     def test_zero_lr_is_identity(self, tiny_data):

@@ -46,11 +46,17 @@ GEN = ["dataset", "gen", "--count", "2", *(a for t in TOOLS for a in ("--tool", 
        "--profile", "sensor1-gel1", "--profile", "digit",
        "--step", "0.4", "--f-max", "6", "--seed", "11"]
 
+# the default step and force limit, so trajectories run for dozens of steps
+# and span several of the blocks the collect path simulates together
+GEN_LONG = ["dataset", "gen", "--count", "1", *(a for t in TOOLS for a in ("--tool", t)),
+            "--profile", "sensor1-gel1", "--profile", "digit", "--seed", "11"]
+
 # (name, argv); each command writes to --out <name>
 PIPELINE = [
     ("gen", GEN),
     # the whole safe envelope, so pad-edge and tilted contacts are rendered too
     ("gen-envelope", [*GEN, "--pose-range", "8", "8", "30", "30", "180"]),
+    ("gen-long", GEN_LONG),
     ("balance", ["dataset", "balance", "--data", "gen/dataset.faf", "--seed", "2"]),
     ("stats", ["dataset", "stats", "--data", "balance/balanced.faf"]),
     ("train-vit", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
