@@ -215,6 +215,7 @@ def cmd_dataset_gen(args):
             raise ContractError(f"unknown indenter {name!r}")
     if args.count < 0:
         raise ContractError("--count must be non-negative")
+    ds.check_bin_width(args.bin)
     pose_range = PoseRange(*args.pose_range) if args.pose_range else PoseRange()
     if args.count == 0:
         samples = []

@@ -355,8 +355,7 @@ def balance(samples, bin_width=DEFAULT_BIN_WIDTH_N, seed=0):
     subsampling. Survivors keep their original order, so balancing is a
     pure subset operation.
     """
-    if bin_width <= 0:
-        raise ContractError(f"bin width must be positive, got {bin_width}")
+    check_bin_width(bin_width)
     rng = np.random.default_rng(seed)
     keep = np.zeros(len(samples), dtype=bool)
     by_tool = {}
@@ -517,8 +516,15 @@ def generate_dataset(indenter_names, profile_names_, n_poses, pose_range=None,
     return out
 
 
+def check_bin_width(bin_width):
+    """Raise ContractError unless the histogram bin width is finite and positive."""
+    if not 0 < bin_width < np.inf:
+        raise ContractError(f"bin width must be finite and positive, got {bin_width}")
+
+
 def stats(samples, bin_width=DEFAULT_BIN_WIDTH_N):
     """Histogram and range summary used by the CLI stats report."""
+    check_bin_width(bin_width)
     report = {"count": len(samples), "bin_width": bin_width, "per_indenter": {}}
     for s in samples:
         name = INDENTER_NAMES[s.indenter_id]

@@ -9,9 +9,21 @@ foundation model reproduces the required normal force.
 Grasping: close a two-sensor gripper on a deformable cup in discrete
 steps until either sensor's estimated normal force reaches a target,
 then measure the rim's deformation by fitting an ellipse to its image.
+
+Both tasks press the same patch, untilted, to a handful of forces over
+and over: a noise-free push holds two forces over its frames, each
+grasp step shows one force to both fingers, and every grasp walks the
+same lattice of spring forces. A noiseless frame depends only on
+(tool, profile, force), since the rendering seed feeds only the readout
+noise, so each such frame is simulated once and shared read-only by
+every sample that shows it; a shared frame is the frame a fresh
+simulation gives, bit for bit. A profile with readout noise still
+renders every frame from its own seed.
 """
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
@@ -24,6 +36,11 @@ from .sensor import (GRAVITY_MS2, ToolPose, compute_contact,
 from .training import make_training_arrays, model_estimator
 
 STRAIN_PER_NEWTON = 0.0228 / 1.74  # rim strain per Newton of grip force
+
+
+def _require_finite(name, value):
+    if not math.isfinite(value):
+        raise ContractError(f"{name} must be finite, got {value}")
 
 
 # -- weighing by pushing ------------------------------------------------------
@@ -50,14 +67,18 @@ class PushScenario:
     noise_n: float = 0.0         # sigma of zero-mean force noise, constant phase
 
     def __post_init__(self):
+        for field in ("mass", "mu", "accel", "noise_n"):
+            _require_finite(field, getattr(self, field))
         if self.mass <= 0:
-            raise ContractError("mass must be positive")
+            raise ContractError(f"mass must be positive, got {self.mass}")
         if not 0.0 <= self.mu <= 1.5:
-            raise ContractError("friction coefficient must lie in [0, 1.5]")
+            raise ContractError(f"friction coefficient mu must lie in [0, 1.5], got {self.mu}")
         if self.ramp_frames < 0 or self.n_frames <= self.ramp_frames:
             raise ContractError("scenario needs a constant-velocity segment")
-        if self.accel < 0 or self.noise_n < 0:
-            raise ContractError("accel and noise must be non-negative")
+        if self.accel < 0:
+            raise ContractError(f"accel must be non-negative, got {self.accel}")
+        if self.noise_n < 0:
+            raise ContractError(f"noise_n must be non-negative, got {self.noise_n}")
         if self.profile_name not in PROFILE_IDS:
             raise ContractError(f"unknown profile {self.profile_name!r}")
         if self.patch not in INDENTER_NAMES:
@@ -77,17 +98,42 @@ class PushTrace:
         return np.stack([s.force for s in self.samples]).astype(np.float64)
 
 
-def _pressed_sample(tool, profile, fz, rng_seed):
-    """Render the virtual patch pressed to raw normal force fz."""
-    pose = ToolPose()
+def _press(tool, profile, fz, rng_seed):
+    """Simulate the untilted patch pressed to raw normal force fz:
+    returns (image, depth map, indentation depth)."""
     if fz <= 0.0:
         image = profile.background()
-        depth_map = np.zeros(image.shape[:2], dtype=np.float32)
-        depth = 0.0
+        return image, np.zeros(image.shape[:2], dtype=np.float32), 0.0
+    pose = ToolPose()
+    depth = depth_for_normal_force(tool, pose, profile, fz)
+    contact = compute_contact(tool, pose, depth, profile=profile)
+    image, depth_map = render_tactile(contact, profile, rng_seed=rng_seed)
+    return image, depth_map, depth
+
+
+@functools.lru_cache(maxsize=256)
+def _noiseless_press(tool, profile, fz):
+    """``_press`` on a noiseless profile, simulated once per (tool,
+    profile, fz) and returned read-only, since every caller shares it."""
+    image, depth_map, depth = _press(tool, profile, fz, rng_seed=None)
+    image.flags.writeable = False
+    depth_map.flags.writeable = False
+    return image, depth_map, depth
+
+
+def _pressed_sample(tool, profile, fz, rng_seed):
+    """Render the virtual patch pressed to raw normal force fz.
+
+    On a noiseless profile the seed changes nothing, so the frame is
+    the one cached for (tool, profile, fz): its image and depth map
+    are shared, read-only, with every other sample at that force, and
+    equal bit for bit to a fresh simulation. A noisy profile renders
+    the frame anew from ``rng_seed``.
+    """
+    if profile.noise_sigma > 0.0:
+        image, depth_map, depth = _press(tool, profile, fz, rng_seed)
     else:
-        depth = depth_for_normal_force(tool, pose, profile, fz)
-        contact = compute_contact(tool, pose, depth, profile=profile)
-        image, depth_map = render_tactile(contact, profile, rng_seed=rng_seed)
+        image, depth_map, depth = _noiseless_press(tool, profile, float(fz))
     return TactileSample(
         image=image, depth=depth_map, force=np.array([0.0, 0.0, max(fz, 0.0)]),
         pose=np.array([0.0, 0.0, -depth, 0.0, 0.0, 0.0]),
@@ -95,7 +141,15 @@ def _pressed_sample(tool, profile, fz, rng_seed):
 
 
 def simulate_push(scenario, seed=0):
-    """Run one push; returns a PushTrace of rendered frames."""
+    """Run one push; returns a PushTrace of rendered frames.
+
+    A noise-free push on a noiseless profile shows only two forces, the
+    ramp's and the steady drag, so it simulates two frames and shares
+    them read-only across its samples; since the seed feeds only readout
+    noise, each shared frame is the one a fresh simulation gives, bit
+    for bit. A noisy profile renders every frame from its own seed (see
+    ``_pressed_sample``).
+    """
     profile = get_profile(scenario.profile_name)
     tool = get_indenter(scenario.patch)
     rng = np.random.default_rng(seed)
@@ -301,13 +355,16 @@ class CupModel:
     rim_noise_px: float = 0.0
 
     def __post_init__(self):
+        for field in ("r0_px", "spring_n_per_mm", "strain_per_newton", "max_strain",
+                      "rim_noise_px"):
+            _require_finite(field, getattr(self, field))
         for field in ("r0_px", "spring_n_per_mm", "strain_per_newton", "max_strain"):
             if getattr(self, field) <= 0:
                 raise ContractError(f"{field} must be positive")
         if self.rim_points < 6:
             raise ContractError("rim needs at least 6 points")
         if self.rim_noise_px < 0:
-            raise ContractError("rim noise must be non-negative")
+            raise ContractError(f"rim_noise_px must be non-negative, got {self.rim_noise_px}")
 
     def grip_force(self, closure_mm):
         return self.spring_n_per_mm * closure_mm
@@ -336,9 +393,18 @@ def grasp_to_force(target, step_mm, estimator, cup=None,
     a zero target stops before any closure). When the step force
     increments sit on the readout lattice the stop force overshoots by
     strictly less than one step's force increment.
+
+    The step forces lie on the lattice spring * k * step_mm, so on a
+    noiseless profile both fingers, and every later grasp with the same
+    step, share one read-only frame per force, equal bit for bit to a
+    fresh simulation since the seed feeds only readout noise; the
+    estimator still reads both frames. A noisy profile renders each
+    finger's frame from its own seed (see ``_pressed_sample``).
     """
+    _require_finite("target", target)
+    _require_finite("step_mm", step_mm)
     if step_mm <= 0:
-        raise ContractError("step must be positive")
+        raise ContractError(f"step_mm must be positive, got {step_mm}")
     cup = cup or CupModel()
     profile = get_profile(profile_name)
     tool = get_indenter(patch)

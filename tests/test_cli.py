@@ -126,6 +126,16 @@ class TestDatasetCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("action", ["gen", "balance", "stats"])
+    def test_non_finite_bin_named(self, workdir, tmp_path, capsys, action, value):
+        source = ["--count", "1"] if action == "gen" else ["--data", str(workdir["data"])]
+        assert main(["dataset", action, "--out", str(tmp_path), *source,
+                     f"--bin={value}"]) == EXIT_CODES[ContractError]
+        err = capsys.readouterr().err
+        assert err.startswith("error: bin width") and "Traceback" not in err
+        assert not (tmp_path / "dataset.faf").exists()
+
     def test_gen_unknown_tool_or_profile(self, tmp_path):
         code = EXIT_CODES[ContractError]
         assert main(["dataset", "gen", "--out", str(tmp_path),
@@ -353,6 +363,19 @@ class TestTasks:
         assert main(["task", "deform", "--out", str(tmp_path),
                      "--target", "500"]) == \
             EXIT_CODES[errors_mod.TaskFailure]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("task, flag, field", [
+        ("weigh", "--mass", "mass"), ("weigh", "--mu", "mu"), ("weigh", "--noise", "noise_n"),
+        ("deform", "--target", "target"), ("deform", "--step-mm", "step_mm"),
+        ("deform", "--rim-noise", "rim_noise_px")])
+    def test_non_finite_flag_named(self, tmp_path, capsys, task, flag, field, value):
+        extra = ["--target", "1"] if task == "deform" and flag != "--target" else []
+        # the `=` form, since argparse reads a bare -inf as an option
+        assert main(["task", task, "--out", str(tmp_path), *extra,
+                     f"{flag}={value}"]) == EXIT_CODES[ContractError]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
 
     def test_net_estimator_runs(self, workdir, tmp_path):
         rc = main(["task", "weigh", "--out", str(tmp_path), "--trials", "1",

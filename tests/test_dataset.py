@@ -443,6 +443,13 @@ class TestBalance:
         samples = [make_sample(rng, fz=float(abs(rng.normal()))) for _ in range(80)]
         assert ds.balance(samples, seed=9) == ds.balance(samples, seed=9)
 
+    @pytest.mark.parametrize("width", [0.0, -0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("fn", [ds.balance, ds.stats])
+    def test_bin_width_must_be_finite_and_positive(self, fn, width):
+        samples = [make_sample(np.random.default_rng(7), fz=0.3)]
+        with pytest.raises(ContractError, match="bin width"):
+            fn(samples, bin_width=width)
+
 
 class TestContainer:
     def test_empty_round_trip(self, tmp_path):

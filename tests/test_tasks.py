@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from tacforce import training
+from tacforce import tasks, training
 from tacforce.dataset import DepthNormalizer
-from tacforce.errors import (ContractError, DegenerateInputError, TaskFailure)
+from tacforce.errors import (ContractError, DegenerateInputError, SafetyError,
+                             TaskFailure)
+from tacforce.indenters import get_indenter
 from tacforce.model import ForceNet, ModelConfig
-from tacforce.profiles import PROFILE_IDS, get_profile
-from tacforce.sensor import GRAVITY_MS2, quantize
+from tacforce.profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
+from tacforce.sensor import (GRAVITY_MS2, ToolPose, compute_contact,
+                             depth_for_normal_force, quantize, render_tactile)
 from tacforce.tasks import (CupModel, EllipseFit, PushScenario, RimObservation,
                             TaskReport, deformation_percent, estimate_weight,
                             fit_ellipse, fit_friction, grasp_to_force,
@@ -15,6 +18,37 @@ from tacforce.tasks import (CupModel, EllipseFit, PushScenario, RimObservation,
 
 PROFILE = get_profile("digit")
 ORACLE = oracle_readout_estimator(PROFILE)
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def reference_press(tool, profile, fz, rng_seed):
+    """The task frame simulated afresh, with no cache: the background at
+    fz <= 0, else the patch pressed untilted to the depth that gives fz."""
+    if fz <= 0.0:
+        image = profile.background()
+        return image, np.zeros(image.shape[:2], dtype=np.float32), 0.0
+    pose = ToolPose()
+    depth = depth_for_normal_force(tool, pose, profile, fz)
+    contact = compute_contact(tool, pose, depth, profile=profile)
+    image, depth_map = render_tactile(contact, profile, rng_seed=rng_seed)
+    return image, depth_map, depth
+
+
+def task_forces():
+    """Every grasp lattice force up to the deformation cap, the ramp and
+    steady forces of a few pushes, and zero."""
+    cup = CupModel()
+    cap = cup.max_strain / cup.strain_per_newton
+    forces = []
+    k = 0
+    while cup.grip_force(k * 0.05) <= cap:
+        forces.append(cup.grip_force(k * 0.05))
+        k += 1
+    for mass, mu in ((0.5, 0.3), (1.0, 0.3), (1.0, 0.2283), (2.05, 0.3)):
+        scn = PushScenario(mass=mass, mu=mu)
+        drag = scn.mu * scn.mass * GRAVITY_MS2
+        forces += [scn.mass * scn.accel + drag, drag]
+    return forces
 
 
 def ellipse_points(a, b, angle_deg, center, n=50, seed=None, sigma=0.0):
@@ -47,6 +81,12 @@ class TestPushScenario:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ContractError):
             PushScenario(**kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["mass", "mu", "accel", "noise_n"])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            PushScenario(**{field: value})
 
 
 class TestSimulatePush:
@@ -296,6 +336,109 @@ class TestGrasp:
             CupModel(rim_points=5)
         with pytest.raises(ContractError):
             CupModel(rim_noise_px=-0.1)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["r0_px", "spring_n_per_mm", "strain_per_newton",
+                                       "max_strain", "rim_noise_px"])
+    def test_cup_non_finite_field_named(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            CupModel(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["target", "step_mm"])
+    def test_non_finite_argument_named(self, field, value):
+        kwargs = {"target": 1.0, "step_mm": 0.05, field: value}
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            grasp_to_force(estimator=ORACLE, **kwargs)
+
+
+class TestPressedFrameCache:
+    """Noiseless task frames are simulated once and shared read-only."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        tasks._noiseless_press.cache_clear()
+        yield
+        tasks._noiseless_press.cache_clear()
+
+    def test_matches_fresh_simulation_bytewise(self):
+        tool = get_indenter("big_sphere")
+        cases = []
+        for profile in map(get_profile, PROFILE_NAMES):
+            for fz in task_forces():
+                try:
+                    cases.append((profile, fz, reference_press(tool, profile, fz, None)))
+                except SafetyError:
+                    with pytest.raises(SafetyError):
+                        tasks._pressed_sample(tool, profile, fz, rng_seed=0)
+        # every profile shares one cache: the first pass simulates, the
+        # second reads what the first stored
+        for seed in (0, 1):
+            for profile, fz, (image, depth_map, depth) in cases:
+                s = tasks._pressed_sample(tool, profile, fz, rng_seed=seed)
+                assert s.image.tobytes() == image.tobytes()
+                assert s.depth.tobytes() == depth_map.tobytes()
+                assert s.pose.tobytes() == np.array(
+                    [0, 0, -depth, 0, 0, 0], dtype=np.float32).tobytes()
+                assert s.force[2] == np.float32(fz)
+        assert tasks._noiseless_press.cache_info().currsize == len(cases)
+
+    @pytest.mark.parametrize("fz", [0.0, 2.0])
+    def test_frames_are_shared_read_only(self, fz):
+        tool = get_indenter("big_sphere")
+        a = tasks._pressed_sample(tool, PROFILE, fz, rng_seed=(0, 0))
+        b = tasks._pressed_sample(tool, PROFILE, fz, rng_seed=(0, 1))
+        assert a.image is b.image and a.depth is b.depth
+        for arr in (a.image, a.depth):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
+    def test_noisy_profile_renders_per_seed(self):
+        profile = PROFILE.replace(noise_sigma=2.5)
+        tool = get_indenter("big_sphere")
+        images = []
+        for fz in (0.8, 2.94):
+            for seed in ((0, 0), (0, 1), (1, 0)):
+                s = tasks._pressed_sample(tool, profile, fz, rng_seed=seed)
+                image, depth_map, _ = reference_press(tool, profile, fz, seed)
+                assert s.image.tobytes() == image.tobytes()
+                assert s.depth.tobytes() == depth_map.tobytes()
+                images.append(s.image.tobytes())
+        assert len(set(images)) == len(images)
+        assert tasks._noiseless_press.cache_info().currsize == 0
+
+    def test_one_simulation_per_distinct_force(self, monkeypatch):
+        pressed = []
+
+        def counting(tool, pose, depth, profile=None):
+            pressed.append(depth)
+            return compute_contact(tool, pose, depth, profile=profile)
+        monkeypatch.setattr(tasks, "compute_contact", counting)
+        frames = []
+
+        def estimator(samples):
+            frames.extend(samples)
+            return ORACLE(samples)
+        report = grasp_to_force(1.74, 0.05, estimator)
+        # steps 1..5 press a new force each; step 0 shows the background
+        assert report.steps == 5
+        assert len(pressed) == len(set(pressed)) == 5
+        assert len(frames) == 12
+        grasp_to_force(1.74, 0.05, estimator, seed=3)
+        assert len(pressed) == 5
+        trace = simulate_push(PushScenario(), seed=0)
+        assert len(pressed) == 7
+        assert len({id(s.image) for s in trace.samples}) == 2
+
+    def test_package_cache_clearing_reaches_it(self):
+        tasks._pressed_sample(get_indenter("big_sphere"), PROFILE, 2.0, rng_seed=0)
+        assert tasks._noiseless_press.cache_info().currsize == 1
+        # what a benchmark set-up does to start cold
+        for fn in list(vars(tasks).values()):
+            if callable(getattr(fn, "cache_clear", None)):
+                fn.cache_clear()
+        assert tasks._noiseless_press.cache_info().currsize == 0
 
 
 class TestNetEstimator:

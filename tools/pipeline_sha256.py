@@ -34,6 +34,11 @@ CALIBRATE = ["--samples", "20", "--steps", "5", "--lr", "1e-3", "--seed", "9",
              "--data", "gen/dataset.faf"]
 WEIGH = ["--trials", "1", "--frames", "8", "--ramp", "2", "--seed", "5"]
 DEFORM = ["--target", "1.74", "--seed", "5"]
+# about a dozen closure steps, and three pushes at the default 30 frames:
+# each shows the same few task frames many times over (the net reads the
+# frames' bytes, the oracle only their forces)
+DEFORM_LONG = ["--target", "4.5", "--seed", "5"]
+WEIGH_TRIALS = ["--trials", "3", "--seed", "5"]
 # the two-epoch nets read about 0.21 N whatever the grip, so the net grasp
 # aims below that
 DEFORM_NET = ["--target", "0.2", "--seed", "5"]
@@ -79,6 +84,10 @@ PIPELINE = [
       for scope in ("auto", "final-layer", "regressor-head", "full")],
     ("weigh-oracle", ["task", "weigh", *WEIGH]),
     ("deform-oracle", ["task", "deform", *DEFORM]),
+    ("deform-oracle-long", ["task", "deform", *DEFORM_LONG]),
+    ("weigh-oracle-trials", ["task", "weigh", *WEIGH_TRIALS]),
+    ("weigh-net-trials", ["task", "weigh", "--estimator", "net",
+                          "--checkpoint", "train-vit/model.fafw", *WEIGH_TRIALS]),
     *[(f"{task}-net-{enc}",
        ["task", task, "--estimator", "net", "--checkpoint", f"train-{enc}/model.fafw",
         *(WEIGH if task == "weigh" else DEFORM_NET)])
