@@ -9,7 +9,9 @@ concat/slicing, and sum/mean/abs/square/sqrt reductions.
 The graph is a dynamic tape: every op result remembers its parents and
 a VJP closure, and `backward` replays the tape in reverse construction
 order. Values are immutable after creation; gradients accumulate into
-`.grad` of `requires_grad` leaves until `zero_grad`.
+`.grad` of `requires_grad` leaves until `zero_grad`. A VJP returns None,
+computing nothing, for a parent that needs no gradient, such as a
+constant input, a constant scale or a frozen parameter.
 """
 
 from __future__ import annotations
@@ -217,44 +219,44 @@ def backward(loss):
 
 # -- elementwise / broadcast ops ----------------------------------------
 
-def _check_broadcast(op, a, b):
+def _broadcast(op, ufunc, a, b):
+    """ufunc over a and b broadcast together; a mismatch is a ShapeError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(op, a.shape, b.shape) from None
 
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("add", a, b)
     return _make(
-        a.data + b.data,
+        _broadcast("add", np.add, a, b),
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                   _unbroadcast(g, b.shape) if b.requires_grad else None),
         "add",
     )
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("sub", a, b)
     return _make(
-        a.data - b.data,
+        _broadcast("sub", np.subtract, a, b),
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                   _unbroadcast(-g, b.shape) if b.requires_grad else None),
         "sub",
     )
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("mul", a, b)
     return _make(
-        a.data * b.data,
+        _broadcast("mul", np.multiply, a, b),
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         ),
         "mul",
     )
@@ -287,9 +289,12 @@ def matmul(a, b):
             gd = np.expand_dims(gd, -2)
         if b.ndim == 1:
             gd = np.expand_dims(gd, -1)
-        ga = np.matmul(gd, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), gd)
-        return _unbroadcast(ga, ad.shape).reshape(a.shape), _unbroadcast(gb, bd.shape).reshape(b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(gd, np.swapaxes(bd, -1, -2)), ad.shape).reshape(a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), gd), bd.shape).reshape(b.shape)
+        return ga, gb
 
     return _make(out, (a, b), vjp, "matmul")
 
@@ -460,9 +465,11 @@ def layer_norm(a, gain=None, bias=None, eps=1e-5):
             raise ShapeError("layer_norm", a.shape, bias.shape, detail="bias must match last dim")
         parents.append(bias)
 
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # means as sum / n: np.mean's own arithmetic, without its wrapper
+    n = a.shape[-1]
+    mu = a.data.sum(axis=-1, keepdims=True) / n
     xc = a.data - mu
-    var = np.square(xc).mean(axis=-1, keepdims=True)
+    var = np.square(xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat
@@ -473,8 +480,8 @@ def layer_norm(a, gain=None, bias=None, eps=1e-5):
 
     def vjp(g):
         gh = g if gain is None else g * gain.data
-        m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+        m1 = gh.sum(axis=-1, keepdims=True) / n
+        m2 = (gh * xhat).sum(axis=-1, keepdims=True) / n
         ga = inv * (gh - m1 - xhat * m2)
         grads = [ga]
         if gain is not None:
@@ -529,9 +536,11 @@ def conv2d(x, w, stride=1):
     out = _conv_gather(x.data, w.data, stride)
 
     def vjp(g):
-        gx = _conv_scatter(g, w.data, stride, (H, W))
-        win = _conv_windows(x.data, kh, kw, stride)
-        gw = np.einsum("bchwpq,bohw->ocpq", win, g, optimize=True)
+        gx = _conv_scatter(g, w.data, stride, (H, W)) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            win = _conv_windows(x.data, kh, kw, stride)
+            gw = np.einsum("bchwpq,bohw->ocpq", win, g, optimize=True)
         return gx, gw
 
     return _make(out, (x, w), vjp, "conv2d")
@@ -554,9 +563,11 @@ def conv_transpose2d(x, w, stride=1):
     out = _conv_scatter(x.data, w.data, stride, (oh, ow))
 
     def vjp(g):
-        gx = _conv_gather(g, w.data, stride)
-        win = _conv_windows(g, kh, kw, stride)
-        gw = np.einsum("bohwpq,bchw->copq", win, x.data, optimize=True)
+        gx = _conv_gather(g, w.data, stride) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            win = _conv_windows(g, kh, kw, stride)
+            gw = np.einsum("bohwpq,bchw->copq", win, x.data, optimize=True)
         return gx, gw
 
     return _make(out, (x, w), vjp, "conv_transpose2d")

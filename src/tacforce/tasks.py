@@ -19,6 +19,15 @@ noise, so each such frame is simulated once and shared read-only by
 every sample that shows it; a shared frame is the frame a fresh
 simulation gives, bit for bit. A profile with readout noise still
 renders every frame from its own seed.
+
+The net estimator likewise preprocesses each shared frame once: it
+memoizes the model-ready image row of every frame whose arrays are
+read-only. The array builder gives each row exactly what its sample
+gets alone, so a memoized row is the row a fresh build gives, bit for
+bit, and the network reads the same batch, row for row. Writable
+frames take the same single build, just never stored. Predictions are
+never cached, since training and calibration give the parameters new
+values.
 """
 
 import dataclasses
@@ -100,12 +109,17 @@ class PushTrace:
 
 def _press(tool, profile, fz, rng_seed):
     """Simulate the untilted patch pressed to raw normal force fz:
-    returns (image, depth map, indentation depth)."""
-    if fz <= 0.0:
+    returns (image, depth map, indentation depth).
+
+    At fz <= 0 the patch rests at depth 0 and touches nothing: a
+    noiseless frame is then the background, and a noisy one is
+    rendered at depth 0 so that it carries its own readout noise.
+    """
+    if fz <= 0.0 and profile.noise_sigma == 0.0:
         image = profile.background()
         return image, np.zeros(image.shape[:2], dtype=np.float32), 0.0
     pose = ToolPose()
-    depth = depth_for_normal_force(tool, pose, profile, fz)
+    depth = depth_for_normal_force(tool, pose, profile, max(fz, 0.0))
     contact = compute_contact(tool, pose, depth, profile=profile)
     image, depth_map = render_tactile(contact, profile, rng_seed=rng_seed)
     return image, depth_map, depth
@@ -114,8 +128,13 @@ def _press(tool, profile, fz, rng_seed):
 @functools.lru_cache(maxsize=256)
 def _noiseless_press(tool, profile, fz):
     """``_press`` on a noiseless profile, simulated once per (tool,
-    profile, fz) and returned read-only, since every caller shares it."""
+    profile, fz) and returned read-only, since every caller shares it.
+
+    The arrays are owned copies: ``render_tactile`` returns views into
+    a writable block, through which a sealed frame could still change.
+    """
     image, depth_map, depth = _press(tool, profile, fz, rng_seed=None)
+    image, depth_map = image.copy(), depth_map.copy()
     image.flags.writeable = False
     depth_map.flags.writeable = False
     return image, depth_map, depth
@@ -185,16 +204,65 @@ def oracle_readout_estimator(profile):
     return estimate
 
 
+# model-ready rows one net estimator keeps, oldest evicted first: about
+# 6.3 MB at 24.6 KB a row at input size 32
+_ROW_MEMO_SIZE = 256
+
+
+def _memo_key(sample):
+    """(id(image), id(depth), profile id) for a sealed frame, else None."""
+    if sample.image.flags.writeable or sample.depth.flags.writeable:
+        return None
+    return id(sample.image), id(sample.depth), sample.profile_id
+
+
 def net_estimator(net, normalizer):
     """Runs rendered frames through the preprocessing and the network.
 
     The frames are assembled at the net's own `config.input_size`.
+
+    The estimator memoizes the model-ready image row of each sealed
+    frame, one whose image and depth map are both read-only, as the
+    shared task frames are: a grasp shows one frame to both fingers at
+    every step and every grasp walks the same forces, and a noise-free
+    push shows two frames over its thirty. The key is the two arrays'
+    ids and the profile id, and the entry holds both arrays, so neither
+    id can be reused while it lives; the oldest entry past
+    `_ROW_MEMO_SIZE` is evicted. Each call sends every distinct frame
+    the memo lacks, writable frames included, through one
+    `make_training_arrays` call, and memoizes only the sealed ones.
+    That builder gives each row exactly what its sample gets alone, so
+    a memoized row is the row a fresh build gives, bit for bit, and the
+    batch the network reads has the rows, row count and order it has
+    without the memo. Predictions are never cached: training and
+    calibration give the same parameters new values, so only the
+    inputs stay valid.
     """
     predict = model_estimator(net)
+    size = net.config.input_size
+    memo = {}
 
     def estimate(samples):
-        return predict(make_training_arrays(samples, normalizer,
-                                            size=net.config.input_size))
+        if not samples:
+            raise ContractError("cannot estimate forces of an empty sample list")
+        images = np.empty((len(samples), size, size, 3))
+        misses = {}   # memo key, or row index of a writable frame -> its rows
+        for i, s in enumerate(samples):
+            key = _memo_key(s)
+            if key in memo:
+                images[i] = memo[key][2]
+            else:
+                misses.setdefault(i if key is None else key, []).append(i)
+        if misses:
+            firsts = [samples[rows[0]] for rows in misses.values()]
+            fresh = make_training_arrays(firsts, normalizer, size=size)["images"]
+            for (key, rows), s, row in zip(misses.items(), firsts, fresh):
+                images[rows] = row
+                if isinstance(key, tuple):
+                    memo[key] = (s.image, s.depth, row.copy())
+                    if len(memo) > _ROW_MEMO_SIZE:
+                        del memo[next(iter(memo))]
+        return predict({"images": images})
     return estimate
 
 

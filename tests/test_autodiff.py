@@ -74,6 +74,11 @@ class TestElementwise:
     def test_mul_broadcast(self, rng):
         check_op(lambda a, b: (a * b).sum(), [(3, 4), (3, 1)], rng)
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_broadcast_mismatch_is_shape_error(self, op):
+        with pytest.raises(ShapeError, match=rf"^{op.__name__}: .*\(2, 3\) vs \(4,\)"):
+            op(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(4)))
+
     def test_neg_and_scalar_ops(self, rng):
         check_op(lambda a: (-a * 2.5 + 1.0).sum(), [(5,)], rng)
 
@@ -259,6 +264,19 @@ class TestLayerNorm:
             rng,
         )
 
+    def test_matches_np_mean_form_bit_for_bit(self, rng):
+        x = rng.normal(size=(4, 5, 24)) * 3 + 2
+        g = rng.normal(size=x.shape)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.square(x - mu).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        grad = inv * (g - g.mean(axis=-1, keepdims=True)
+                      - xhat * (g * xhat).mean(axis=-1, keepdims=True))
+        a = ad.Tensor(x, requires_grad=True)
+        out = ad.layer_norm(a)
+        assert out.data.tobytes() == xhat.tobytes()
+        assert out._vjp(g)[0].tobytes() == grad.tobytes()
+
     def test_gain_shape_checked(self):
         with pytest.raises(ShapeError):
             ad.layer_norm(ad.Tensor(np.zeros((2, 6))), gain=ad.Tensor(np.zeros(4)))
@@ -367,6 +385,27 @@ class TestBackwardMachinery:
         (a * b).sum().backward()
         assert a.grad is not None
         assert b.grad is None
+
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.add, ((3, 4), (4,))),
+        (ad.sub, ((3, 4), (3, 4))),
+        (ad.mul, ((3, 4), ())),
+        (ad.matmul, ((2, 3, 4), (4, 5))),
+        (lambda x, w: ad.conv2d(x, w, stride=2), ((2, 3, 7, 7), (4, 3, 3, 3))),
+        (lambda x, w: ad.conv_transpose2d(x, w, stride=2), ((2, 3, 4, 4), (3, 2, 2, 2))),
+    ])
+    def test_constant_operand_gets_no_gradient(self, rng, op, shapes):
+        """A VJP computes nothing for an operand that needs no gradient,
+        and gives the other the bits it gets when both need one."""
+        arrays = [rng.normal(size=s) for s in shapes]
+        both = op(*(ad.Tensor(a, requires_grad=True) for a in arrays))
+        g = rng.normal(size=both.shape)
+        want = both._vjp(g)
+        for const in (0, 1):
+            out = op(*(ad.Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)))
+            got = out._vjp(g)
+            assert got[const] is None
+            assert got[1 - const].tobytes() == want[1 - const].tobytes()
 
     def test_shared_subexpression(self, rng):
         check_op(

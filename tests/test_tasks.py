@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,13 @@ NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 def reference_press(tool, profile, fz, rng_seed):
     """The task frame simulated afresh, with no cache: the background at
-    fz <= 0, else the patch pressed untilted to the depth that gives fz."""
-    if fz <= 0.0:
+    fz <= 0 on a noiseless profile, else the patch pressed untilted to
+    the depth that gives fz (depth 0 at fz <= 0)."""
+    if fz <= 0.0 and profile.noise_sigma == 0.0:
         image = profile.background()
         return image, np.zeros(image.shape[:2], dtype=np.float32), 0.0
     pose = ToolPose()
-    depth = depth_for_normal_force(tool, pose, profile, fz)
+    depth = depth_for_normal_force(tool, pose, profile, max(fz, 0.0))
     contact = compute_contact(tool, pose, depth, profile=profile)
     image, depth_map = render_tactile(contact, profile, rng_seed=rng_seed)
     return image, depth_map, depth
@@ -408,6 +411,28 @@ class TestPressedFrameCache:
         assert len(set(images)) == len(images)
         assert tasks._noiseless_press.cache_info().currsize == 0
 
+    def test_noisy_zero_force_frame_carries_noise(self):
+        profile = PROFILE.replace(noise_sigma=2.5)
+        tool = get_indenter("big_sphere")
+        frames = []
+        for fz, seed in ((0.0, (0, 0)), (0.0, (0, 1)), (-0.3, (0, 0))):
+            s = tasks._pressed_sample(tool, profile, fz, rng_seed=seed)
+            image, depth_map, _ = reference_press(tool, profile, fz, seed)
+            assert s.image.tobytes() == image.tobytes()
+            assert s.depth.tobytes() == depth_map.tobytes()
+            assert not s.depth.any() and s.force[2] == 0.0
+            assert s.image.tobytes() != profile.background().tobytes()
+            assert s.image.flags.writeable
+            frames.append(s.image.tobytes())
+        # each seed draws its own noise; the seed, not the force, sets it
+        assert frames[0] != frames[1] and frames[0] == frames[2]
+        assert tasks._noiseless_press.cache_info().currsize == 0
+
+    def test_sealed_frames_own_their_bytes(self):
+        s = tasks._pressed_sample(get_indenter("big_sphere"), PROFILE, 2.0, rng_seed=0)
+        for arr in (s.image, s.depth):
+            assert arr.base is None and not arr.flags.writeable
+
     def test_one_simulation_per_distinct_force(self, monkeypatch):
         pressed = []
 
@@ -451,6 +476,135 @@ class TestNetEstimator:
         out = est(trace.samples)
         assert out.shape == (6, 3)
         assert np.isfinite(out).all()
+
+
+def tiny_net(encoder="vit"):
+    return ForceNet(ModelConfig(embed_dim=16, depth=1, heads=2, decoder_channels=8,
+                                encoder=encoder), seed=0)
+
+
+def reference_estimate(net, normalizer, samples):
+    """The net estimator with no memo: build every row, then predict."""
+    arrays = training.make_training_arrays(samples, normalizer,
+                                           size=net.config.input_size)
+    return training.model_estimator(net)(arrays)
+
+
+def sealed_copies(sample, n):
+    """n frames with the sample's bytes in distinct read-only arrays."""
+    out = []
+    for _ in range(n):
+        image, depth = sample.image.copy(), sample.depth.copy()
+        image.flags.writeable = depth.flags.writeable = False
+        out.append(dataclasses.replace(sample, image=image, depth=depth))
+    return out
+
+
+def writable_copy(sample):
+    return dataclasses.replace(sample, image=sample.image.copy(),
+                               depth=sample.depth.copy())
+
+
+class TestNetEstimatorMemo:
+    """The net estimator builds each sealed frame's row once, bit for bit."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The sample lists each `make_training_arrays` call receives."""
+        calls = []
+
+        def counting(samples, normalizer, size=32):
+            calls.append(list(samples))
+            return training.make_training_arrays(samples, normalizer, size=size)
+        monkeypatch.setattr(tasks, "make_training_arrays", counting)
+        return calls
+
+    @pytest.mark.parametrize("encoder", ["vit", "conv"])
+    def test_matches_uncached_reference_bytewise(self, encoder):
+        net = tiny_net(encoder)
+        normalizer = DepthNormalizer.identity()
+        est = net_estimator(net, normalizer)
+        seen = []
+
+        def checked(samples):
+            out = est(samples)
+            assert out.tobytes() == reference_estimate(net, normalizer, samples).tobytes()
+            seen.append(len(samples))
+            return out
+        # grasps run to the deformation cap, twice, so the second reads the memo
+        for seed in (0, 1):
+            with pytest.raises(TaskFailure):
+                grasp_to_force(50.0, 0.05, checked, seed=seed)
+        for noise in (0.0, 0.4):
+            checked(simulate_push(PushScenario(noise_n=noise), seed=2).samples)
+        push = simulate_push(PushScenario(mass=0.7), seed=3).samples
+        checked([writable_copy(push[0]), *push[:6], writable_copy(push[-1]), push[-1]])
+        assert len(seen) > 30
+
+    def test_one_build_per_distinct_frame(self, builds):
+        est = net_estimator(tiny_net(), DepthNormalizer.identity())
+        with pytest.raises(TaskFailure):
+            grasp_to_force(50.0, 0.05, est)
+        # every step shows one new frame to both fingers: one row per step
+        assert builds and all(len(b) == 1 for b in builds)
+        steps = len(builds)
+        with pytest.raises(TaskFailure):
+            grasp_to_force(50.0, 0.05, est, seed=4)
+        assert len(builds) == steps
+        # a noise-free push at a new mass: its two frames, in one call
+        est(simulate_push(PushScenario(mass=0.9), seed=0).samples)
+        assert len(builds) == steps + 1 and len(builds[-1]) == 2
+        # the misses of a call, writable frames included, go in one call
+        push = simulate_push(PushScenario(mass=1.3), seed=0).samples
+        writable = writable_copy(push[0])
+        est([push[0], writable, *push[:3], push[-1], writable])
+        assert len(builds) == steps + 2
+        assert [id(s.image) for s in builds[-1]] == [
+            id(push[0].image), id(writable.image), id(push[-1].image),
+            id(writable.image)]
+
+    def test_writable_frames_never_stored(self, builds):
+        est = net_estimator(tiny_net(), DepthNormalizer.identity())
+        frame = writable_copy(simulate_push(PushScenario(), seed=0).samples[0])
+        for _ in range(2):
+            est([frame, frame])
+        assert [len(b) for b in builds] == [2, 2]
+
+    def test_profile_id_is_in_the_key(self, builds):
+        est = net_estimator(tiny_net(), DepthNormalizer.identity())
+        frame = simulate_push(PushScenario(), seed=0).samples[-1]
+        other = dataclasses.replace(frame, profile_id=PROFILE_IDS["sensor1-gel1"])
+        assert other.image is frame.image and other.depth is frame.depth
+        est([frame])
+        est([other])
+        est([frame, other])
+        assert [len(b) for b in builds] == [1, 1]
+
+    def test_memo_holds_at_most_its_bound(self, builds):
+        est = net_estimator(tiny_net(), DepthNormalizer.identity())
+        frames = sealed_copies(simulate_push(PushScenario(), seed=0).samples[-1], 257)
+        est(frames)
+        # the newest entries are all kept, the oldest one is evicted
+        est(frames[1:])
+        assert len(builds) == 1
+        est(frames[:1])
+        assert len(builds) == 2 and builds[-1][0] is frames[0]
+
+    def test_reads_the_parameters_it_is_called_with(self):
+        net = tiny_net()
+        est = net_estimator(net, DepthNormalizer.identity())
+        frames = simulate_push(PushScenario(), seed=0).samples[:2]
+        before = est(frames)
+        for p in net.head_params():
+            p.data = p.data + 0.01
+        after = est(frames)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == reference_estimate(
+            net, DepthNormalizer.identity(), frames).tobytes()
+
+    def test_empty_sample_list_rejected(self):
+        with pytest.raises(ContractError):
+            net_estimator(tiny_net(), DepthNormalizer.identity())([])
 
 
 class TestTaskReport:

@@ -88,6 +88,10 @@ PIPELINE = [
     ("weigh-oracle-trials", ["task", "weigh", *WEIGH_TRIALS]),
     ("weigh-net-trials", ["task", "weigh", "--estimator", "net",
                           "--checkpoint", "train-vit/model.fafw", *WEIGH_TRIALS]),
+    # the same pushes through the conv encoder, whose features depend on
+    # the other rows of their batch, so it hashes the batches the net reads
+    ("weigh-net-conv-trials", ["task", "weigh", "--estimator", "net",
+                               "--checkpoint", "train-conv/model.fafw", *WEIGH_TRIALS]),
     *[(f"{task}-net-{enc}",
        ["task", task, "--estimator", "net", "--checkpoint", f"train-{enc}/model.fafw",
         *(WEIGH if task == "weigh" else DEFORM_NET)])
