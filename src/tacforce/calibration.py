@@ -178,7 +178,8 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
     encoded once up front and the steps and the error readings run
     the regressor on those cached features; the full scope runs the
     whole net per step. Returns a FinetuneReport with held-out error
-    before and after.
+    before and after. ``holdout_frac`` must lie in [0, 1) and ``lr`` be
+    finite and non-negative.
     """
     if not samples:
         raise ContractError("no calibration samples")
@@ -186,6 +187,10 @@ def finetune(net, samples, normalizer, scope=FinetuneScope.FINAL_LAYER,
         raise ContractError("calibration samples must come from one profile")
     if steps < 0:
         raise ContractError("steps must be non-negative")
+    if not 0.0 <= holdout_frac < 1.0:
+        raise ContractError(f"holdout_frac must be finite and in [0, 1), got {holdout_frac}")
+    if not 0.0 <= lr < np.inf:
+        raise ContractError(f"lr must be finite and non-negative, got {lr}")
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))

@@ -7,10 +7,11 @@ profile ids). Trajectories press a tool along its own axis in small
 steps and record one sample per step until the normal force reaches a
 limit or the gel runs out.
 
-The per-frame work is batched where it pays: a trajectory simulates
-its contacts a block of steps ahead (``sensor.compute_contacts``),
-renders its accepted steps in blocks (``sensor.render_contacts``), and
-``preprocess_chunk`` preprocesses many samples of one shape at once.
+The per-frame work is batched where it pays: a trajectory runs in
+blocks of one size, each block's contacts simulated in one call
+(``sensor.compute_contacts``) and its kept steps rendered in one call
+(``sensor.render_contacts``), and ``preprocess_chunk`` preprocesses
+many samples of one shape at once.
 Every operation in these is per ray, per pixel, or a resize whose
 arithmetic is ``scipy.ndimage.map_coordinates``' in its order, so each
 sample gets exactly the bytes it gets alone; batching only pays each
@@ -50,12 +51,10 @@ DEFAULT_STEP_MM = 0.05
 DEFAULT_FORCE_LIMIT_N = 15.0
 DEFAULT_BIN_WIDTH_N = 0.5
 
-# Accepted steps of a trajectory rendered together. It bounds the
-# contacts held and the shading buffers of one `render_contacts` call.
-_RENDER_BLOCK = 16
-# Steps of a trajectory whose contacts are simulated together, ahead of
-# the stop rule: at most this many minus one are simulated and dropped.
-_CONTACT_BLOCK = 8
+# Steps of a trajectory simulated, and then rendered, together. It
+# bounds the contacts and shading buffers one block holds; at most this
+# many minus one steps past the stop are simulated and dropped.
+_BLOCK = 8
 
 
 @dataclasses.dataclass(eq=False)
@@ -179,69 +178,57 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
     trajectory ends without recording as soon as the readout F^z reaches
     f_max, or when the next step would land deeper than the gel allows.
 
-    The contacts are simulated speculatively, ``_CONTACT_BLOCK`` steps
-    that fit in the gel per ``sensor.compute_contacts`` call, each the
-    bytes ``compute_contact`` gives it alone. The stop rule is
-    unchanged: it reads each step's force in turn and ends the
-    trajectory at the first step whose F^z reaches f_max, dropping the
-    rest of that block. The accepted steps are rendered in blocks of up to
-    ``_RENDER_BLOCK`` by ``sensor.render_contacts``, which gives every
-    frame the bytes ``render_tactile`` gives it alone, step j's noise
-    still seeded by (rng_seed, j). ``step`` must be finite and
-    positive, and ``f_max`` a number (inf never stops on force).
+    The steps run in blocks of ``_BLOCK``: a block's steps that fit in
+    the gel are simulated in one ``sensor.compute_contacts`` call, the
+    stop rule reads their forces in turn, and the steps before the
+    first whose F^z reaches f_max are rendered in one
+    ``sensor.render_contacts`` call, step j's noise seeded by
+    (rng_seed, j). Each call gives every step the bytes it gets alone.
+    A block cut short, by the force or by the gel, ends the trajectory
+    (the depths grow with j, so the block after one the gel cut short
+    is empty). ``pose`` is a ToolPose or a 6-vector (x, y, z, roll,
+    pitch, yaw); ``step`` must be finite and positive, and ``f_max`` a
+    number (inf never stops on force).
     """
     if not 0 < step < np.inf:
         raise ContractError(f"step must be finite and positive, got {step}")
     if np.isnan(f_max):
         raise ContractError("force limit f_max must be a number, got nan")
-    tool_pose = pose if isinstance(pose, sensor.ToolPose) else sensor.ToolPose(
-        x=float(pose[0]), y=float(pose[1]), roll=float(pose[3]),
-        pitch=float(pose[4]), yaw=float(pose[5]))
+    tool_pose = pose if isinstance(pose, sensor.ToolPose) else sensor.ToolPose.from_array(pose)
     axis_z = euler_to_matrix(tool_pose.roll, tool_pose.pitch, tool_pose.yaw)[2, 2]
     indenter = get_indenter(indenter) if isinstance(indenter, str) else indenter
-    steps = _accepted_steps(indenter, tool_pose, profile, step, axis_z, f_max)
     ids = dict(indenter_id=INDENTER_NAMES.index(indenter.name),
                profile_id=PROFILE_IDS[profile.name])
     samples = []
-    while block := list(itertools.islice(steps, _RENDER_BLOCK)):
-        images, depth_maps = sensor.render_contacts(
-            [contact for _, _, contact, _ in block], profile,
-            None if rng_seed is None else [(rng_seed, j) for j, _, _, _ in block])
-        for (_, depth, _, force), image, depth_map in zip(block, images, depth_maps):
-            # copies, so that a kept sample does not hold its whole block
-            samples.append(TactileSample(
-                image=image.copy(),
-                depth=depth_map.copy(),
-                force=force,
-                pose=np.array([tool_pose.x, tool_pose.y, -depth,
-                               tool_pose.roll, tool_pose.pitch, tool_pose.yaw]),
-                **ids,
-            ))
-    return samples
-
-
-def _accepted_steps(indenter, tool_pose, profile, step, axis_z, f_max):
-    """Yield (j, depth, contact, force) for steps j = 1, 2, ... at
-    vertical depth j * step * axis_z, until the gel runs out or F^z
-    reaches f_max.
-
-    Contacts are simulated ahead, ``_CONTACT_BLOCK`` steps that fit in
-    the gel per ``sensor.compute_contacts`` call; the stop rule still
-    reads each step's force in turn, and the steps a block holds past
-    the stop are dropped.
-    """
-    for first in itertools.count(1, _CONTACT_BLOCK):
-        depths = [depth for depth in (j * step * axis_z
-                                      for j in range(first, first + _CONTACT_BLOCK))
+    for first in itertools.count(1, _BLOCK):
+        depths = [depth for depth in (j * step * axis_z for j in range(first, first + _BLOCK))
                   if depth <= profile.gel_thickness]
         if not depths:
-            return
-        contacts = sensor.compute_contacts(indenter, tool_pose, depths, profile)
-        for j, depth, contact in zip(itertools.count(first), depths, contacts):
+            break
+        kept = []
+        for depth, contact in zip(depths, sensor.compute_contacts(indenter, tool_pose,
+                                                                  depths, profile)):
             force = sensor.oracle_force(contact, profile)
             if force[2] >= f_max:
-                return
-            yield j, depth, contact, force
+                break
+            kept.append((depth, contact, force))
+        if kept:
+            images, depth_maps = sensor.render_contacts(
+                [contact for _, contact, _ in kept], profile,
+                None if rng_seed is None else [(rng_seed, first + k) for k in range(len(kept))])
+            for (depth, _, force), image, depth_map in zip(kept, images, depth_maps):
+                # copies, so that a kept sample does not hold its whole block
+                samples.append(TactileSample(
+                    image=image.copy(),
+                    depth=depth_map.copy(),
+                    force=force,
+                    pose=np.array([tool_pose.x, tool_pose.y, -depth,
+                                   tool_pose.roll, tool_pose.pitch, tool_pose.yaw]),
+                    **ids,
+                ))
+        if len(kept) < _BLOCK:
+            break
+    return samples
 
 
 @functools.lru_cache(maxsize=64)

@@ -94,7 +94,11 @@ class ToolPose:
 
     @classmethod
     def from_array(cls, arr):
-        return cls(*(float(v) for v in arr[:5]))
+        """The pose of a 6-vector (x, y, z, roll, pitch, yaw), the layout
+        of a sample's ``pose`` and of ``sample_poses`` rows; z, the
+        indentation, is not part of a ToolPose and is skipped."""
+        x, y, _, roll, pitch, yaw = (float(v) for v in arr)
+        return cls(x, y, roll, pitch, yaw)
 
 
 @dataclasses.dataclass
@@ -305,8 +309,11 @@ def sphere_normal_force(radius, depth, stiffness):
 def _inversion_table(indenter, pose, profile):
     """Tabulated full-depth contact of an untilted tool, for inversion.
 
-    Returns read-only (csum, engaged_at), the displaced column-sum
-    capacity at full depth and the contact's pixel area (pitch * pitch).
+    Returns (csum, engaged_at, capacity, pixel_area): the read-only
+    cumulative sums of the sorted pixel heights d0 - delta and the
+    displaced column-sum at which the tool face reaches each height,
+    the displaced column-sum at full depth d0, and the contact's pixel
+    area (pitch * pitch).
     """
     d0 = profile.gel_thickness
     contact = compute_contact(indenter, pose, d0, profile=profile)

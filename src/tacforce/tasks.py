@@ -20,14 +20,13 @@ every sample that shows it; a shared frame is the frame a fresh
 simulation gives, bit for bit. A profile with readout noise still
 renders every frame from its own seed.
 
-The net estimator likewise preprocesses each shared frame once: it
-memoizes the model-ready image row of every frame whose arrays are
-read-only. The array builder gives each row exactly what its sample
-gets alone, so a memoized row is the row a fresh build gives, bit for
-bit, and the network reads the same batch, row for row. Writable
-frames take the same single build, just never stored. Predictions are
-never cached, since training and calibration give the parameters new
-values.
+The net estimator likewise preprocesses each distinct frame once: it
+memoizes model-ready image rows keyed on the frame's content (profile
+id, image shape and image bytes), which is all a row depends on. The
+array builder gives each row exactly what its sample gets alone, so a
+memoized row is the row a fresh build gives, bit for bit, and the
+network reads the same batch, row for row. Predictions are never
+cached, since training and calibration give the parameters new values.
 """
 
 import dataclasses
@@ -111,13 +110,10 @@ def _press(tool, profile, fz, rng_seed):
     """Simulate the untilted patch pressed to raw normal force fz:
     returns (image, depth map, indentation depth).
 
-    At fz <= 0 the patch rests at depth 0 and touches nothing: a
-    noiseless frame is then the background, and a noisy one is
-    rendered at depth 0 so that it carries its own readout noise.
+    At fz <= 0 the patch rests at depth 0 and presses nothing, so the
+    frame is the background with a zero depth map, plus the readout
+    noise of its own seed on a noisy profile.
     """
-    if fz <= 0.0 and profile.noise_sigma == 0.0:
-        image = profile.background()
-        return image, np.zeros(image.shape[:2], dtype=np.float32), 0.0
     pose = ToolPose()
     depth = depth_for_normal_force(tool, pose, profile, max(fz, 0.0))
     contact = compute_contact(tool, pose, depth, profile=profile)
@@ -204,16 +200,10 @@ def oracle_readout_estimator(profile):
     return estimate
 
 
-# model-ready rows one net estimator keeps, oldest evicted first: about
-# 6.3 MB at 24.6 KB a row at input size 32
+# model-ready rows one net estimator keeps, oldest stored evicted first:
+# about 8.7 MB at input size 32 and digit's 48x64 frames, 256 times a
+# 24.6 KB row plus its 9.2 KB key
 _ROW_MEMO_SIZE = 256
-
-
-def _memo_key(sample):
-    """(id(image), id(depth), profile id) for a sealed frame, else None."""
-    if sample.image.flags.writeable or sample.depth.flags.writeable:
-        return None
-    return id(sample.image), id(sample.depth), sample.profile_id
 
 
 def net_estimator(net, normalizer):
@@ -221,22 +211,24 @@ def net_estimator(net, normalizer):
 
     The frames are assembled at the net's own `config.input_size`.
 
-    The estimator memoizes the model-ready image row of each sealed
-    frame, one whose image and depth map are both read-only, as the
-    shared task frames are: a grasp shows one frame to both fingers at
-    every step and every grasp walks the same forces, and a noise-free
-    push shows two frames over its thirty. The key is the two arrays'
-    ids and the profile id, and the entry holds both arrays, so neither
-    id can be reused while it lives; the oldest entry past
-    `_ROW_MEMO_SIZE` is evicted. Each call sends every distinct frame
-    the memo lacks, writable frames included, through one
-    `make_training_arrays` call, and memoizes only the sealed ones.
-    That builder gives each row exactly what its sample gets alone, so
-    a memoized row is the row a fresh build gives, bit for bit, and the
-    batch the network reads has the rows, row count and order it has
-    without the memo. Predictions are never cached: training and
-    calibration give the same parameters new values, so only the
-    inputs stay valid.
+    The estimator memoizes the model-ready image row of each frame it
+    reads, keyed on the frame's content: its profile id, image shape
+    and image bytes. That is all a row depends on: `make_training_arrays`
+    builds it from the image, the profile's background at the image's
+    shape, and the size, and the depth map feeds only the depth rows,
+    which the estimator discards. The task frames repeat: a grasp shows
+    one frame to both fingers at every step and every grasp walks the
+    same forces, and a noise-free push shows two frames over its thirty.
+    Each call sends every distinct frame the memo lacks through one
+    `make_training_arrays` call, which gives each row exactly what its
+    sample gets alone, so a memoized row is the row a fresh build gives,
+    bit for bit. The batch is assembled in the caller's row order, with
+    the rows and row count it has without the memo (numpy rounds a
+    one-row product apart from a batch), before the oldest entries past
+    `_ROW_MEMO_SIZE` are evicted, so one call may need more rows than
+    the memo keeps. Predictions are never cached: training and
+    calibration give the same parameters new values, so only the inputs
+    stay valid.
     """
     predict = model_estimator(net)
     size = net.config.input_size
@@ -245,23 +237,15 @@ def net_estimator(net, normalizer):
     def estimate(samples):
         if not samples:
             raise ContractError("cannot estimate forces of an empty sample list")
-        images = np.empty((len(samples), size, size, 3))
-        misses = {}   # memo key, or row index of a writable frame -> its rows
-        for i, s in enumerate(samples):
-            key = _memo_key(s)
-            if key in memo:
-                images[i] = memo[key][2]
-            else:
-                misses.setdefault(i if key is None else key, []).append(i)
+        keys = [(s.profile_id, s.image.shape, s.image.tobytes()) for s in samples]
+        misses = {key: s for key, s in zip(keys, samples) if key not in memo}
         if misses:
-            firsts = [samples[rows[0]] for rows in misses.values()]
-            fresh = make_training_arrays(firsts, normalizer, size=size)["images"]
-            for (key, rows), s, row in zip(misses.items(), firsts, fresh):
-                images[rows] = row
-                if isinstance(key, tuple):
-                    memo[key] = (s.image, s.depth, row.copy())
-                    if len(memo) > _ROW_MEMO_SIZE:
-                        del memo[next(iter(memo))]
+            fresh = make_training_arrays(list(misses.values()), normalizer, size=size)
+            # copies, so that an entry does not hold its whole build
+            memo.update((key, row.copy()) for key, row in zip(misses, fresh["images"]))
+        images = np.stack([memo[key] for key in keys])
+        while len(memo) > _ROW_MEMO_SIZE:
+            del memo[next(iter(memo))]
         return predict({"images": images})
     return estimate
 

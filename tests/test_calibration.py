@@ -134,6 +134,17 @@ class TestFinetune:
             finetune(ForceNet(TINY), calib_samples, DepthNormalizer.identity(),
                      holdout_frac=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("holdout_frac", float("nan")), ("holdout_frac", float("inf")),
+        ("holdout_frac", -0.5), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0)])
+    def test_bad_holdout_or_lr_named(self, calib_samples, field, value):
+        net = ForceNet(TINY)
+        before = snapshot(net)
+        with pytest.raises(ContractError, match=f"^{field} must be finite"):
+            finetune(net, calib_samples, DepthNormalizer.identity(),
+                     **{"steps": 3, "lr": 1e-3, field: value})
+        assert all(np.array_equal(before[k], p.data) for k, p in net.named_params().items())
+
     @pytest.mark.parametrize("scope,prefixes", [
         (FinetuneScope.FINAL_LAYER, ("regressor.out.",)),
         (FinetuneScope.REGRESSOR_HEAD, ("regressor.",)),

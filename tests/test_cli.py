@@ -294,6 +294,17 @@ class TestCalibrate:
         assert rc == 0
         assert ",final-layer," in (tmp_path / "calibration.csv").read_text()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--holdout", "nan"), ("--holdout", "inf"), ("--holdout", "-0.5"),
+        ("--holdout", "1"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1")])
+    def test_bad_holdout_or_lr_named(self, workdir, tmp_path, capsys, flag, value):
+        assert main(["calibrate", "--checkpoint", str(workdir["checkpoint"]),
+                     "--out", str(tmp_path), "--samples", "20", "--steps", "3",
+                     f"{flag}={value}"]) == EXIT_CODES[ContractError]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]}") and "Traceback" not in err
+        assert not (tmp_path / "calibrated.fafw").exists()
+
 
 class TestCheckpointMetadata:
     """Bad meta.model records map to FormatError (exit 7), not a traceback."""

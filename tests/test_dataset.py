@@ -175,8 +175,7 @@ class TestSpeculativeBlocks:
     POSE = sen.ToolPose(x=0.5, y=-1.0, roll=6.0, pitch=-4.0, yaw=25.0)
     # the step that ends the trajectory: mid-block, a block's last, a
     # block's first
-    STOPS = (ds._CONTACT_BLOCK + ds._CONTACT_BLOCK // 2, 2 * ds._CONTACT_BLOCK,
-             ds._CONTACT_BLOCK + 1)
+    STOPS = (ds._BLOCK + ds._BLOCK // 2, 2 * ds._BLOCK, ds._BLOCK + 1)
 
     def check(self, indenter, profile, step, f_max, stop):
         samples = ds.run_indentation(indenter, self.POSE, profile, step=step, f_max=f_max,
@@ -204,6 +203,32 @@ class TestSpeculativeBlocks:
         axis_z = euler_to_matrix(self.POSE.roll, self.POSE.pitch, self.POSE.yaw)[2, 2]
         step = GEL1.gel_thickness / (stop - 0.5) / axis_z
         self.check(get_indenter("small_sphere"), GEL1, step, np.inf, stop)
+
+    @pytest.mark.parametrize("stop", STOPS)
+    @pytest.mark.parametrize("on", ["force", "gel"])
+    def test_simulates_no_block_past_the_stop(self, monkeypatch, on, stop):
+        cube = get_indenter("cube")
+        if on == "force":
+            fz = [f[2] for _, f in reference_trajectory(cube, self.POSE, GEL1, 0.1, np.inf)]
+            step, f_max = 0.1, fz[stop - 1]
+            # the stop's whole block, and no more
+            simulated = -(-stop // ds._BLOCK) * ds._BLOCK
+        else:
+            axis_z = euler_to_matrix(self.POSE.roll, self.POSE.pitch, self.POSE.yaw)[2, 2]
+            step, f_max = GEL1.gel_thickness / (stop - 0.5) / axis_z, np.inf
+            simulated = stop - 1
+        calls = []
+        compute_contacts = sen.compute_contacts
+
+        def counting(indenter, pose, depths, profile=None, scale=1):
+            calls.append(len(depths))
+            return compute_contacts(indenter, pose, depths, profile, scale)
+        monkeypatch.setattr(sen, "compute_contacts", counting)
+        samples = ds.run_indentation(cube, self.POSE, GEL1, step=step, f_max=f_max)
+        assert len(samples) == stop - 1
+        # one call per block, none for the empty block after a full one
+        full, rest = divmod(simulated, ds._BLOCK)
+        assert calls == [ds._BLOCK] * full + [rest] * (rest > 0)
 
 
 class TestDepthNormalizer:

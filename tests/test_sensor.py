@@ -56,8 +56,9 @@ class TestGrid:
             uu[0, 0] = 1.0
 
     def test_pose_from_array(self):
+        # the (x, y, z, roll, pitch, yaw) layout of a sample's pose; z is skipped
         pose = sen.ToolPose(1.0, -2.0, 3.0, -4.0, 170.0)
-        assert sen.ToolPose.from_array([1.0, -2.0, 3.0, -4.0, 170.0, 9.0]) == pose
+        assert sen.ToolPose.from_array([1.0, -2.0, 9.0, 3.0, -4.0, 170.0]) == pose
 
 
 class TestSphereClosedForm:
@@ -553,7 +554,7 @@ class TestBatchedRendering:
         profile = get_profile("sensor2-gel3").replace(noise_sigma=1.5)
         pose = sen.ToolPose(x=1.0, roll=10.0)
         samples = ds.run_indentation("big_sphere", pose, profile, step=0.05, rng_seed=4)
-        assert len(samples) > 2 * ds._RENDER_BLOCK
+        assert len(samples) > 2 * ds._BLOCK
         axis_z = euler_to_matrix(pose.roll, pose.pitch, pose.yaw)[2, 2]
         for j, s in enumerate(samples, start=1):
             contact = sen.compute_contact(get_indenter("big_sphere"), pose, j * 0.05 * axis_z,

@@ -446,15 +446,21 @@ class TestPressedFrameCache:
             frames.extend(samples)
             return ORACLE(samples)
         report = grasp_to_force(1.74, 0.05, estimator)
-        # steps 1..5 press a new force each; step 0 shows the background
+        # steps 0..5 press a new force each, step 0 at depth 0
         assert report.steps == 5
-        assert len(pressed) == len(set(pressed)) == 5
+        assert len(pressed) == len(set(pressed)) == 6 and pressed[0] == 0.0
         assert len(frames) == 12
         grasp_to_force(1.74, 0.05, estimator, seed=3)
-        assert len(pressed) == 5
+        assert len(pressed) == 6
         trace = simulate_push(PushScenario(), seed=0)
-        assert len(pressed) == 7
+        assert len(pressed) == 8
         assert len({id(s.image) for s in trace.samples}) == 2
+
+    def test_force_inverts_from_the_sample_pose(self):
+        tool = get_indenter("big_sphere")
+        s = tasks._pressed_sample(tool, PROFILE, 2.0, rng_seed=0)
+        depth = depth_for_normal_force(tool, s.pose, PROFILE, 2.0)
+        assert np.float32(-depth) == s.pose[2] < 0.0
 
     def test_package_cache_clearing_reaches_it(self):
         tasks._pressed_sample(get_indenter("big_sphere"), PROFILE, 2.0, rng_seed=0)
@@ -490,13 +496,13 @@ def reference_estimate(net, normalizer, samples):
     return training.model_estimator(net)(arrays)
 
 
-def sealed_copies(sample, n):
-    """n frames with the sample's bytes in distinct read-only arrays."""
+def distinct_frames(sample, n):
+    """n writable frames, each the sample with its own first pixel."""
     out = []
-    for _ in range(n):
-        image, depth = sample.image.copy(), sample.depth.copy()
-        image.flags.writeable = depth.flags.writeable = False
-        out.append(dataclasses.replace(sample, image=image, depth=depth))
+    for k in range(n):
+        image = sample.image.copy()
+        image[0, 0, :2] = k % 256, k // 256
+        out.append(dataclasses.replace(sample, image=image, depth=sample.depth.copy()))
     return out
 
 
@@ -554,21 +560,25 @@ class TestNetEstimatorMemo:
         # a noise-free push at a new mass: its two frames, in one call
         est(simulate_push(PushScenario(mass=0.9), seed=0).samples)
         assert len(builds) == steps + 1 and len(builds[-1]) == 2
-        # the misses of a call, writable frames included, go in one call
+        # the distinct misses of a call, writable frames included, go in
+        # one call, in order of first appearance
         push = simulate_push(PushScenario(mass=1.3), seed=0).samples
-        writable = writable_copy(push[0])
-        est([push[0], writable, *push[:3], push[-1], writable])
+        changed, = distinct_frames(push[0], 1)
+        assert changed.image.tobytes() != push[0].image.tobytes()
+        est([push[0], changed, *push[:3], push[-1], changed])
         assert len(builds) == steps + 2
         assert [id(s.image) for s in builds[-1]] == [
-            id(push[0].image), id(writable.image), id(push[-1].image),
-            id(writable.image)]
+            id(push[0].image), id(changed.image), id(push[-1].image)]
 
-    def test_writable_frames_never_stored(self, builds):
+    def test_writable_copy_of_stored_frame_hits(self, builds):
         est = net_estimator(tiny_net(), DepthNormalizer.identity())
-        frame = writable_copy(simulate_push(PushScenario(), seed=0).samples[0])
-        for _ in range(2):
-            est([frame, frame])
-        assert [len(b) for b in builds] == [2, 2]
+        frame = simulate_push(PushScenario(), seed=0).samples[0]
+        assert not frame.image.flags.writeable
+        est([frame])
+        copy = writable_copy(frame)
+        assert copy.image.flags.writeable
+        est([copy, copy])
+        assert [len(b) for b in builds] == [1]
 
     def test_profile_id_is_in_the_key(self, builds):
         est = net_estimator(tiny_net(), DepthNormalizer.identity())
@@ -580,15 +590,54 @@ class TestNetEstimatorMemo:
         est([frame, other])
         assert [len(b) for b in builds] == [1, 1]
 
+    def test_image_shape_is_in_the_key(self, builds):
+        net = tiny_net()
+        est = net_estimator(net, DepthNormalizer.identity())
+        frame = simulate_push(PushScenario(), seed=0).samples[-1]
+        h, w, _ = frame.image.shape
+        # the same bytes on the transposed grid
+        other = dataclasses.replace(frame, image=frame.image.reshape(w, h, 3),
+                                    depth=frame.depth.reshape(w, h))
+        assert other.image.tobytes() == frame.image.tobytes()
+        est([frame])
+        out = est([other])
+        assert [len(b) for b in builds] == [1, 1] and builds[-1][0] is other
+        assert out.tobytes() == reference_estimate(
+            net, DepthNormalizer.identity(), [other]).tobytes()
+
+    def test_frame_changed_in_place_is_built_again(self, builds):
+        net = tiny_net()
+        est = net_estimator(net, DepthNormalizer.identity())
+        frame = writable_copy(simulate_push(PushScenario(), seed=0).samples[-1])
+        est([frame])
+        frame.image[20:30, 20:30] = 0
+        out = est([frame])
+        assert [len(b) for b in builds] == [1, 1]
+        assert out.tobytes() == reference_estimate(
+            net, DepthNormalizer.identity(), [frame]).tobytes()
+
     def test_memo_holds_at_most_its_bound(self, builds):
         est = net_estimator(tiny_net(), DepthNormalizer.identity())
-        frames = sealed_copies(simulate_push(PushScenario(), seed=0).samples[-1], 257)
+        frames = distinct_frames(simulate_push(PushScenario(), seed=0).samples[-1], 257)
         est(frames)
         # the newest entries are all kept, the oldest one is evicted
         est(frames[1:])
         assert len(builds) == 1
         est(frames[:1])
         assert len(builds) == 2 and builds[-1][0] is frames[0]
+
+    def test_call_past_the_bound_returns_every_row(self, builds):
+        net = tiny_net()
+        est = net_estimator(net, DepthNormalizer.identity())
+        frames = distinct_frames(simulate_push(PushScenario(), seed=0).samples[-1], 300)
+        out = est(frames)
+        assert out.tobytes() == reference_estimate(
+            net, DepthNormalizer.identity(), frames).tobytes()
+        # the newest 256 stay; the 44 before them were evicted
+        est(frames[44:])
+        assert len(builds) == 1
+        est(frames[43:44])
+        assert len(builds) == 2
 
     def test_reads_the_parameters_it_is_called_with(self):
         net = tiny_net()

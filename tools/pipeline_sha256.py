@@ -56,12 +56,20 @@ GEN = ["dataset", "gen", "--count", "2", *(a for t in TOOLS for a in ("--tool", 
 GEN_LONG = ["dataset", "gen", "--count", "1", *(a for t in TOOLS for a in ("--tool", t)),
             "--profile", "sensor1-gel1", "--profile", "digit", "--seed", "11"]
 
+# untilted presses in steps of 0.1875 mm (exact in binary): small_sphere
+# reaches the 3 mm gel exactly at step 16, the last step of a block of 8,
+# and cube stops on force inside a block
+GEN_BLOCK_EDGES = ["dataset", "gen", "--count", "1", "--tool", "small_sphere",
+                   "--tool", "cube", "--pose-range", "0", "0", "0", "0", "0",
+                   "--step", "0.1875", "--seed", "11"]
+
 # (name, argv); each command writes to --out <name>
 PIPELINE = [
     ("gen", GEN),
     # the whole safe envelope, so pad-edge and tilted contacts are rendered too
     ("gen-envelope", [*GEN, "--pose-range", "8", "8", "30", "30", "180"]),
     ("gen-long", GEN_LONG),
+    ("gen-block-edges", GEN_BLOCK_EDGES),
     ("balance", ["dataset", "balance", "--data", "gen/dataset.faf", "--seed", "2"]),
     ("stats", ["dataset", "stats", "--data", "balance/balanced.faf"]),
     ("train-vit", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
