@@ -9,9 +9,10 @@ touching only the parameters inside an explicit scope.
 
 import dataclasses
 import enum
+import math
+import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import autodiff as ad
 from .dataset import TactileSample
@@ -43,26 +44,98 @@ class CalibrationRig:
     def __post_init__(self):
         if not self.masses:
             raise ContractError("rig needs at least one mass")
-        if any(m < 0 for m in self.masses):
-            raise ContractError("masses must be non-negative")
+        if not all(0 <= m < np.inf for m in self.masses):
+            raise ContractError(
+                f"masses must be finite and non-negative, got {self.masses}")
         forces = [quantize(m * GRAVITY_MS2) for m in self.masses]
         if min(forces) > 0.5 or max(forces) < 10.0:
             raise ContractError(
                 f"rig forces span [{min(forces)}, {max(forces)}] N; "
                 "they must cover at least [0.5, 10] N")
-        if self.max_tilt_deg < 0:
-            raise ContractError("tilt must be non-negative")
+        if not 0 <= self.max_tilt_deg < np.inf:
+            raise ContractError(
+                f"max_tilt_deg must be finite and non-negative, got {self.max_tilt_deg}")
         shear = max(forces) * np.sin(np.radians(self.max_tilt_deg))
         if shear > 1.0:
             raise ContractError(f"max tilt yields {shear:.2f} N shear; limit is 1 N")
-        if self.placement_mm < 0:
-            raise ContractError("placement radius must be non-negative")
+        if not 0 <= self.placement_mm < np.inf:
+            raise ContractError(
+                f"placement_mm must be finite and non-negative, got {self.placement_mm}")
+
+
+# scipy.optimize.brentq's defaults: a relative tolerance of 4 eps and
+# at most 100 iterations
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent_root(f, xa, xb, xtol):
+    """A root of f in [xa, xb] by Brent's method, where f(xa) and f(xb)
+    differ in sign or one of them is zero.
+
+    This is scipy's ``brentq`` (its C ``brentq``) step for step, at its
+    rtol and iteration cap: the same sign-bit bracket test, the same
+    choice between inverse interpolation, extrapolation and bisection,
+    and the same minimum step of +-delta, so it returns the same float.
+    A division by zero, where C gets inf or nan and so bisects, bisects.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ContractError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short step is tried and taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"no root found in {_BRENT_MAXITER} iterations")
 
 
 def sphere_depth_for_force(force, profile):
-    """Invert the closed-form sphere/foundation law for the depth."""
+    """Invert the closed-form sphere/foundation law for the depth.
+
+    ``force`` must be finite; a force the gel cannot take at full depth
+    raises ContractError. The root is scipy's ``brentq(gap, 0, gel
+    thickness, xtol=1e-12)``, bit for bit.
+    """
+    if not -np.inf < force < np.inf:
+        raise ContractError(f"force must be finite, got {force}")
     if force <= 0:
         return 0.0
+    force = float(force)
     top = profile.gel_thickness
 
     def gap(d):
@@ -71,7 +144,7 @@ def sphere_depth_for_force(force, profile):
     if gap(top) < 0:
         raise ContractError(
             f"{force:.2f} N exceeds what the gel takes at full depth")
-    return brentq(gap, 0.0, top, xtol=1e-12)
+    return _brent_root(gap, 0.0, top, xtol=1e-12)
 
 
 def rig_sample(profile, rig, mass, rng):

@@ -443,6 +443,9 @@ def _epilog():
     return "\n".join(lines)
 
 
+_BIN_HELP = "width of the F^z histogram bins, in N (default: %(default)s)"
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -466,21 +469,31 @@ def build_parser():
                        help="indenter name (repeatable)")
     p_gen.add_argument("--count", type=int, default=8,
                        help="poses per (tool, profile) pair")
-    p_gen.add_argument("--step", type=float, default=ds.DEFAULT_STEP_MM)
-    p_gen.add_argument("--f-max", type=float, default=ds.DEFAULT_FORCE_LIMIT_N)
-    p_gen.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N)
+    p_gen.add_argument("--step", type=float, default=ds.DEFAULT_STEP_MM,
+                       help="advance per trajectory step along the tool axis, "
+                            "in mm (default: %(default)s)")
+    p_gen.add_argument("--f-max", type=float, default=ds.DEFAULT_FORCE_LIMIT_N,
+                       help="normal force that ends a trajectory, in N "
+                            "(default: %(default)s)")
+    p_gen.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N,
+                       help=_BIN_HELP)
     p_gen.add_argument("--pose-range", type=float, nargs=5, default=None,
-                       metavar=("X", "Y", "ROLL", "PITCH", "YAW"))
+                       metavar=("X", "Y", "ROLL", "PITCH", "YAW"),
+                       help="symmetric pose bounds: x and y offsets in mm, roll, pitch "
+                            "and yaw in degrees (default: "
+                            f"{' '.join(f'{v:g}' for v in dataclasses.astuple(PoseRange()))})")
 
     p_bal = dsub.add_parser("balance", parents=[common],
                             help="cap per-bin counts at the median")
     p_bal.add_argument("--data", required=True)
-    p_bal.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N)
+    p_bal.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N,
+                       help=_BIN_HELP)
 
     p_stats = dsub.add_parser("stats", parents=[common],
                               help="print per-bin counts and force ranges")
     p_stats.add_argument("--data", required=True)
-    p_stats.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N)
+    p_stats.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N,
+                         help=_BIN_HELP)
 
     p_train = sub.add_parser("train", parents=[common], help="fit the estimator")
     p_train.add_argument("--data", required=True)

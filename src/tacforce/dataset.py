@@ -41,10 +41,11 @@ import struct
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, SafetyError, ShapeError
 from .geometry import PoseRange, euler_to_matrix
 from .indenters import INDENTER_NAMES, get_indenter
 from .profiles import PROFILE_NAMES, PROFILE_IDS, get_profile
+from .resample import resize, tap_plan
 from . import sensor
 
 DEFAULT_STEP_MM = 0.05
@@ -188,15 +189,22 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
     (the depths grow with j, so the block after one the gel cut short
     is empty). ``pose`` is a ToolPose or a 6-vector (x, y, z, roll,
     pitch, yaw); ``step`` must be finite and positive, and ``f_max`` a
-    number (inf never stops on force).
+    number (inf never stops on force). A pose outside the tool's safe
+    envelope, or a first step that already lands below the gel, raises
+    SafetyError; a first step at or past f_max gives no samples.
     """
     if not 0 < step < np.inf:
         raise ContractError(f"step must be finite and positive, got {step}")
     if np.isnan(f_max):
         raise ContractError("force limit f_max must be a number, got nan")
     tool_pose = pose if isinstance(pose, sensor.ToolPose) else sensor.ToolPose.from_array(pose)
-    axis_z = euler_to_matrix(tool_pose.roll, tool_pose.pitch, tool_pose.yaw)[2, 2]
     indenter = get_indenter(indenter) if isinstance(indenter, str) else indenter
+    sensor.check_safe_pose(indenter, tool_pose)
+    axis_z = euler_to_matrix(tool_pose.roll, tool_pose.pitch, tool_pose.yaw)[2, 2]
+    if step * axis_z > profile.gel_thickness:
+        raise SafetyError(
+            f"the first step of {step} mm already lands {step * axis_z:.3f} mm deep, "
+            f"below the {profile.gel_thickness} mm gel")
     ids = dict(indenter_id=INDENTER_NAMES.index(indenter.name),
                profile_id=PROFILE_IDS[profile.name])
     samples = []
@@ -233,50 +241,15 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
 
 @functools.lru_cache(maxsize=64)
 def _tap_plan(in_h, in_w, size):
-    """Read-only taps of a corner-aligned bilinear resize of an
-    (in_h, in_w) plane to (size, size).
+    """Read-only ``resample.tap_plan`` of a corner-aligned bilinear
+    resize of an (in_h, in_w) plane to (size, size).
 
-    Four (flat index, row weight, column weight) triples, one per tap,
-    each with one row per output pixel in C order (the weights as
-    (S*S, 1) columns). They are the numbers
-    ``scipy.ndimage.map_coordinates`` uses at order 1, mode "nearest",
-    on the coordinates ``linspace(0, n - 1, size)`` of each axis: taps
-    floor(c) and floor(c) + 1, clamped to the plane; weights
-    1 - (c - floor(c)) and one minus that; taps in row-major order.
+    Its coordinates are those ``scipy.ndimage.map_coordinates`` reads
+    at order 1, mode "nearest", for this resize: ``linspace(0, n - 1,
+    size)`` on each axis.
     """
-    def axis(n):
-        coord = np.linspace(0.0, n - 1.0, size)
-        lo = np.floor(coord)
-        w_lo = 1.0 - (coord - lo)
-        lo = lo.astype(np.intp)
-        return (lo, w_lo), (np.minimum(lo + 1, n - 1), 1.0 - w_lo)
-
-    plan = []
-    for rows, w_row in axis(in_h):
-        for cols, w_col in axis(in_w):
-            tap = ((rows[:, None] * in_w + cols).ravel(),
-                   np.repeat(w_row, size)[:, None], np.tile(w_col, size)[:, None])
-            for arr in tap:
-                arr.flags.writeable = False
-            plan.append(tap)
-    return tuple(plan)
-
-
-def _resize(pixels, plan):
-    """Apply a tap plan to an (H*W, K) array, one row per input pixel
-    and one column per plane: (S*S, K).
-
-    Per output value this is map_coordinates' sum in its order: 0.0
-    plus, tap by tap, value * row weight * column weight. Holding the
-    planes of a pixel in one row makes each tap gather whole rows.
-    """
-    total = np.zeros((plan[0][0].size, pixels.shape[1]))
-    for idx, w_row, w_col in plan:
-        v = np.take(pixels, idx, axis=0)
-        v *= w_row
-        v *= w_col
-        total += v
-    return total
+    return tap_plan(np.linspace(0.0, in_h - 1.0, size), in_h,
+                    np.linspace(0.0, in_w - 1.0, size), in_w)
 
 
 def preprocess(image, background, depth, normalizer, size=32):
@@ -329,8 +302,8 @@ def preprocess_chunk(images, backgrounds, depths, normalizer, size=32):
     np.subtract(images, backgrounds, out=diff, dtype=np.float64)
     diff /= 255.0
     np.clip(diff, -1.0, 1.0, out=diff)
-    t_out = _resize(padded.reshape(side * side, 3 * n), _tap_plan(side, side, size))
-    d_out = _resize(normalizer.normalize(depths).reshape(h * w, n), _tap_plan(h, w, size))
+    t_out = resize(padded.reshape(side * side, 3 * n), _tap_plan(side, side, size))
+    d_out = resize(normalizer.normalize(depths).reshape(h * w, n), _tap_plan(h, w, size))
     return t_out.reshape(size, size, 3, n), d_out.reshape(size, size, n)
 
 

@@ -12,9 +12,9 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError
+from .resample import resize, tap_plan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,12 +116,26 @@ class SensorProfile:
         return dataclasses.replace(self, **kw)
 
 
+def _zoom_coords(n_in, n_out):
+    """Where ``scipy.ndimage.zoom`` in grid mode samples an axis of n_in
+    pixels for n_out outputs: (k + 0.5) * (n_in / n_out) - 0.5, with
+    its arithmetic in its order."""
+    return (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+
+
 @functools.lru_cache(maxsize=256)
 def _render_background(seed, level, amplitude, height, width):
+    """The clouds are a 6x8 grid of seeded RGB values stretched over the
+    image by bilinear interpolation; the numbers are
+    ``scipy.ndimage.zoom(coarse, order=1, mode="nearest",
+    grid_mode=True)``'s, bit for bit (the draws, -1 + 2u, are never
+    -0.0, so the unchanged-shape exception in ``resample`` never
+    applies)."""
     rng = np.random.default_rng(seed)
     coarse = rng.uniform(-1.0, 1.0, size=(6, 8, 3))
-    zoom = (height / coarse.shape[0], width / coarse.shape[1], 1.0)
-    clouds = ndimage.zoom(coarse, zoom, order=1, mode="nearest", grid_mode=True)
+    rows, cols, planes = coarse.shape
+    plan = tap_plan(_zoom_coords(rows, height), rows, _zoom_coords(cols, width), cols)
+    clouds = resize(coarse.reshape(rows * cols, planes), plan).reshape(height, width, planes)
     img = np.rint(np.clip(level + amplitude * clouds, 0.0, 1.0) * 255.0).astype(np.uint8)
     img.flags.writeable = False
     return img

@@ -202,6 +202,12 @@ def _footprint(indenter, rot, translation, geometry, scale):
     return in_rows[:, :, None] & in_cols[:, None, :]
 
 
+def check_safe_pose(indenter, pose):
+    """Raise SafetyError unless ``pose`` lies in the tool's safe envelope."""
+    if not indenter.safe_pose_range.contains(pose.x, pose.y, pose.roll, pose.pitch, pose.yaw):
+        raise SafetyError(f"pose {pose} is outside the safe envelope for {indenter.name}")
+
+
 def compute_contact(indenter, pose, depth, profile=None, scale=1):
     """Penetration field for a tool pressed to ``depth`` mm.
 
@@ -257,8 +263,7 @@ def compute_contacts(indenter, pose, depths, profile=None, scale=1):
             raise SafetyError(
                 f"commanded depth {depth:.3f} mm exceeds the {gel_thickness:.3f} mm gel"
             )
-    if not indenter.safe_pose_range.contains(pose.x, pose.y, pose.roll, pose.pitch, pose.yaw):
-        raise SafetyError(f"pose {pose} is outside the safe envelope for {indenter.name}")
+    check_safe_pose(indenter, pose)
     rot, translation, drag = tool_transform(indenter, pose, depths)
     geometry = _grid_geometry(profile)
     _, _, points = _grid(*geometry, scale)

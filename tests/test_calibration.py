@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from tacforce.errors import ContractError
 from tacforce.indenters import INDENTER_IDS
 from tacforce.model import ForceNet, ModelConfig
 from tacforce.optim import Adam
-from tacforce.profiles import PROFILE_IDS, get_profile
+from tacforce.profiles import PROFILE_IDS, PROFILES, get_profile
 from tacforce.sensor import GRAVITY_MS2, quantize, sphere_normal_force
 from tacforce.training import (loss_force, loss_total, make_training_arrays,
                                model_estimator, normalized_error)
@@ -52,6 +54,14 @@ class TestRig:
         with pytest.raises(ContractError):
             CalibrationRig(max_tilt_deg=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("masses", (0.05, float("nan"), 1.02)), ("masses", (0.05, float("inf"))),
+        ("max_tilt_deg", float("nan")), ("max_tilt_deg", float("inf")),
+        ("placement_mm", float("nan")), ("placement_mm", float("inf"))])
+    def test_non_finite_fields_named(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            CalibrationRig(**{field: value})
+
     def test_depth_inversion_round_trip(self):
         for force in (0.5, 1.0, 4.0, 10.0):
             d = sphere_depth_for_force(force, DIGIT)
@@ -62,6 +72,82 @@ class TestRig:
     def test_impossible_force_rejected(self):
         with pytest.raises(ContractError):
             sphere_depth_for_force(50.0, DIGIT)
+
+    @pytest.mark.parametrize("force", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_force_named(self, force):
+        with pytest.raises(ContractError, match="force must be finite"):
+            sphere_depth_for_force(force, DIGIT)
+
+
+def bracketed_functions(n, seed=0):
+    """n seeded (f, a, b) whose f(a) and f(b) differ in sign: cubics,
+    steep tanh steps, odd powers, staircases, each also scaled down into
+    the subnormals, where the steps' divided differences underflow."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        kind = len(out) % 4
+        c = rng.uniform(0.05, 0.95)
+        if kind == 0:
+            r = rng.uniform(-1, 2, size=3)
+            f = lambda x, r=r: float((x - r[0]) * (x - r[1]) * (x - r[2]))
+        elif kind == 1:
+            f = lambda x, c=c, s=rng.uniform(1, 300): math.tanh(s * (x - c)) + 0.3
+        elif kind == 2:
+            f = lambda x, c=c, p=rng.choice([3.0, 7.0, 0.2]): math.copysign(abs(x - c) ** p, x - c)
+        else:
+            f = lambda x, c=c, k=int(rng.integers(2, 10)): math.floor(k * (x - c)) + 0.5
+        scale = float(rng.choice([1.0, 1e-318, 1e-322]))
+        g = lambda x, f=f, scale=scale: f(x) * scale
+        b = float(rng.choice([1.0, 100.0, 1e5]))
+        if g(0.0) != 0 and g(b) != 0 and math.copysign(1, g(0.0)) != math.copysign(1, g(b)):
+            out.append((g, 0.0, b))
+    return out
+
+
+def test_brent_root_is_brentq_on_hard_functions():
+    """Step for step, so every branch gives scipy's float: short steps
+    refused for bisection, divisions by zero (which bisect), and the
+    iteration cap, where both raise RuntimeError."""
+    from scipy.optimize import brentq
+    from tacforce.calibration import _brent_root
+    # steep steps whose short steps the 3 |sbis| - delta bound refuses
+    refused = [(lambda x, s=s, c=c: math.tanh(s * (x - c)) + 0.3, 0.0, 1.0)
+               for s, c in ((3, 0.7), (8, 0.6), (16, 0.65), (28, 0.2))]
+    for f, a, b in [*refused, *bracketed_functions(600)]:
+        try:
+            ref = brentq(f, a, b, xtol=1e-12)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                _brent_root(f, a, b, 1e-12)
+            continue
+        assert np.float64(_brent_root(f, a, b, 1e-12)).tobytes() == np.float64(ref).tobytes()
+
+
+def test_depth_inversion_is_brentq_bit_for_bit():
+    """The in-package Brent root is scipy's brentq(gap, 0, gel thickness,
+    xtol=1e-12), the same float, on every profile: at the rig's masses,
+    on a dense force grid up to and past what the gel takes, at F <= 0,
+    and where the force is exactly the full-depth load (gap(top) == 0)."""
+    from scipy.optimize import brentq
+    rig_forces = [m * GRAVITY_MS2 for m in CalibrationRig().masses]
+    for profile in PROFILES.values():
+        top, k = profile.gel_thickness, profile.normal_stiffness
+        full = sphere_normal_force(8.0, top, k)
+        forces = [*rig_forces, *np.linspace(0.0, 30.0, 3001), -1.0, -0.0, full]
+        for force in map(float, forces):
+            if force > full:
+                with pytest.raises(ContractError, match="exceeds"):
+                    sphere_depth_for_force(force, profile)
+                continue
+            got = sphere_depth_for_force(force, profile)
+            if force <= 0:
+                assert got == 0.0
+                continue
+            ref = brentq(lambda d: sphere_normal_force(8.0, d, k) - force, 0.0, top,
+                         xtol=1e-12)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (profile.name, force)
+        assert sphere_depth_for_force(full, profile) == top
 
 
 class TestCollect:

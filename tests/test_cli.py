@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import tacforce.errors as errors_mod
 from tacforce.checkpoint import load_arrays, save_arrays
 from tacforce.cli import EXIT_CODES, _load_net, build_parser, main
 from tacforce.dataset import load
-from tacforce.errors import ContractError, FormatError, TacforceError
+from tacforce.errors import ContractError, FormatError, SafetyError, TacforceError
 from tacforce.model import ForceNet
 from tacforce.sensor import GRAVITY_MS2
 
@@ -78,6 +80,24 @@ class TestExitCodes:
             assert f"{code}  {klass.__name__}" in text
 
 
+def test_package_imports_no_optimize_or_ndimage():
+    """Importing every module, in a fresh interpreter, loads neither
+    scipy.optimize nor scipy.ndimage: together they add about 25 MB to
+    every process's resident floor, and the package uses scipy only for
+    scipy.special.erf."""
+    code = ("import importlib, pkgutil, sys, tacforce\n"
+            "for m in pkgutil.iter_modules(tacforce.__path__):\n"
+            "    importlib.import_module('tacforce.' + m.name)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'ndimage'])))\n")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestDispatch:
     def test_unknown_profile_rejected(self, tmp_path):
         assert main(["task", "deform", "--out", str(tmp_path), "--target", "1",
@@ -125,6 +145,30 @@ class TestDatasetCommands:
                      *flags]) == EXIT_CODES[ContractError]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("pose_range", [None, ["0", "0", "0", "0", "0"]])
+    def test_gen_step_past_the_gel_is_unsafe(self, tmp_path, capsys, pose_range):
+        # a 5 mm step lands below the 3 mm gel at once, tilted or not
+        flags = ["--pose-range", *pose_range] if pose_range else []
+        assert main(["dataset", "gen", "--out", str(tmp_path), "--count", "1",
+                     "--tool", "cube", "--step", "5", *flags]) == EXIT_CODES[SafetyError]
+        err = capsys.readouterr().err
+        assert err.startswith("error: the first step of 5.0 mm") and "3.0 mm gel" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("action, flag, text", [
+        ("gen", "--step", "in mm (default: 0.05)"),
+        ("gen", "--f-max", "in N (default: 15.0)"),
+        ("gen", "--bin", "in N (default: 0.5)"),
+        ("gen", "--pose-range", "in mm, roll, pitch and yaw in degrees (default: 4 4 10 10 180)"),
+        ("balance", "--bin", "in N (default: 0.5)"),
+        ("stats", "--bin", "in N (default: 0.5)")])
+    def test_flag_help_gives_unit_and_default(self, action, flag, text):
+        sub = build_parser()._subparsers._group_actions[0].choices["dataset"]
+        parser = sub._subparsers._group_actions[0].choices[action]
+        action = parser._option_string_actions[flag]
+        assert (action.help % {"default": action.default}).endswith(text)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("action", ["gen", "balance", "stats"])

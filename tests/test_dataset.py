@@ -19,9 +19,10 @@ import pytest
 from scipy import ndimage
 
 from tacforce import dataset as ds
+from tacforce import resample
 from tacforce import sensor as sen
 from tacforce import training
-from tacforce.errors import ContractError, FormatError, ShapeError
+from tacforce.errors import ContractError, FormatError, SafetyError, ShapeError
 from tacforce.geometry import PoseRange, euler_to_matrix
 from tacforce.indenters import INDENTER_IDS, INDENTER_NAMES, get_indenter
 from tacforce.profiles import PROFILE_IDS, PROFILE_NAMES, get_profile
@@ -141,6 +142,23 @@ class TestRunIndentation:
         row = np.array([1.0, -0.5, 0.0, 5.0, -3.0, 60.0])
         out = ds.run_indentation(get_indenter("cube"), row, GEL1, step=0.4)
         assert out and out[0].pose[5] == pytest.approx(60.0)
+
+    @pytest.mark.parametrize("pose", [sen.ToolPose(), sen.ToolPose(roll=30.0, pitch=30.0)])
+    def test_first_step_below_the_gel_is_unsafe(self, pose):
+        # 5 mm lands below the 3 mm gel even at the steepest tilt (3.75 mm deep)
+        with pytest.raises(SafetyError, match=r"first step of 5\.0 mm.*3\.0 mm gel"):
+            ds.run_indentation(get_indenter("cube"), pose, GEL1, step=5.0)
+
+    def test_first_step_exactly_at_the_gel_is_safe(self):
+        # 3 mm lands on the gel's floor: the force limit, not the gel, ends it
+        out = ds.run_indentation(get_indenter("small_sphere"), sen.ToolPose(), GEL1,
+                                 step=3.0, f_max=1e9)
+        assert len(out) == 1 and out[0].pose[2] == np.float32(-3.0)
+
+    @pytest.mark.parametrize("step", [0.5, 5.0])
+    def test_pose_outside_the_envelope_is_unsafe_at_any_step(self, step):
+        with pytest.raises(SafetyError, match="outside the safe envelope"):
+            ds.run_indentation(get_indenter("cube"), sen.ToolPose(x=100.0), GEL1, step=step)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
     def test_step_must_be_finite_and_positive(self, step):
@@ -343,7 +361,7 @@ class TestPreprocess:
         # corner-aligned bilinear maps the input corners onto the output
         # corners exactly
         ramp = np.tile(np.linspace(0.0, 1.0, 64), (64, 1))
-        out = ds._resize(ramp.reshape(-1, 1), ds._tap_plan(64, 64, 32)).reshape(32, 32)
+        out = resample.resize(ramp.reshape(-1, 1), ds._tap_plan(64, 64, 32)).reshape(32, 32)
         assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert out[0, -1] == pytest.approx(1.0, abs=1e-12)
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tacforce import profiles as prof
+from tacforce import resample
 from tacforce.errors import ContractError
 
 
@@ -111,3 +113,55 @@ class TestBackground:
         p = prof.get_profile("sensor2-gel2")
         img = p.background(96, 128)
         assert img.shape == (96, 128, 3)
+
+
+def reference_clouds(coarse, height, width):
+    return ndimage.zoom(coarse, (height / coarse.shape[0], width / coarse.shape[1], 1.0),
+                        order=1, mode="nearest", grid_mode=True)
+
+
+class TestZoom:
+    """The background's bilinear stretch is ndimage.zoom's (order 1, mode
+    "nearest", grid mode), bit for bit."""
+
+    # every height and width from 1 to 96 against a stride of 11 on the
+    # other axis: down- and upsampling, odd ratios and the identity
+    SHAPES = sorted({(a, b) for a in range(1, 97) for b in range(1, 97, 11)}
+                    | {(b, a) for a in range(1, 97) for b in range(1, 97, 11)}
+                    | {(6, 8)})
+
+    def zoom(self, coarse, height, width):
+        rows, cols, planes = coarse.shape
+        plan = resample.tap_plan(prof._zoom_coords(rows, height), rows,
+                                 prof._zoom_coords(cols, width), cols)
+        return resample.resize(coarse.reshape(rows * cols, planes),
+                               plan).reshape(height, width, planes)
+
+    def test_matches_ndimage_zoom_over_shapes(self):
+        coarse = np.random.default_rng(7).uniform(-1.0, 1.0, size=(6, 8, 3))
+        for h, w in self.SHAPES:
+            assert self.zoom(coarse, h, w).tobytes() == reference_clouds(coarse, h, w).tobytes()
+
+    def test_matches_ndimage_zoom_with_zeros(self):
+        # signed zeros too; at an unchanged shape ndimage returns its input
+        # as it is, -0.0 included, where the taps sum to +0.0 (a uniform draw
+        # on [-1, 1) is -1 + 2u, never -0.0, so backgrounds never differ)
+        coarse = np.random.default_rng(8).uniform(-1.0, 1.0, size=(6, 8, 3))
+        coarse[::2, ::3] = -0.0
+        coarse[1::3, 1::2] = 0.0
+        for h, w in self.SHAPES:
+            got, ref = self.zoom(coarse, h, w), reference_clouds(coarse, h, w)
+            if (h, w) == coarse.shape[:2]:
+                assert np.array_equal(got, ref) and not np.signbit(got).any(where=got == 0)
+            else:
+                assert got.tobytes() == ref.tobytes(), (h, w)
+
+    @pytest.mark.parametrize("name", prof.PROFILE_NAMES)
+    def test_every_background_byte_equal(self, name):
+        p = prof.get_profile(name)
+        coarse = np.random.default_rng(p.background_seed).uniform(-1.0, 1.0, size=(6, 8, 3))
+        for h, w in ((48, 64), (32, 32), (96, 128), (7, 5), (1, 1)):
+            clouds = reference_clouds(coarse, h, w)
+            ref = np.rint(np.clip(p.background_level + p.background_amplitude * clouds,
+                                  0.0, 1.0) * 255.0).astype(np.uint8)
+            assert p.background(h, w).tobytes() == ref.tobytes(), (h, w)

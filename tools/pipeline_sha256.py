@@ -2,8 +2,9 @@
 
 Runs the `tacforce` subcommands in a fresh temporary directory, from
 dataset generation on all ten indenters (at the default pose range and
-over the whole safe envelope) through training, evaluation,
-calibration and the downstream tasks, and prints one `sha256  name`
+over the whole safe envelope) and on all ten profiles through training,
+evaluation, calibration (on digit and on a workbench gel) and the
+downstream tasks, and prints one `sha256  name`
 line per output file and per command's stdout. Every subcommand is a pure function of its
 flags and --seed, so two checkouts that behave the same print the same
 lines; diff the output of two checkouts to compare them:
@@ -63,6 +64,13 @@ GEN_BLOCK_EDGES = ["dataset", "gen", "--count", "1", "--tool", "small_sphere",
                    "--tool", "cube", "--pose-range", "0", "0", "0", "0", "0",
                    "--step", "0.1875", "--seed", "11"]
 
+# every built-in profile, so each one's resting background is hashed
+PROFILES = (*(f"sensor{s}-gel{g}" for s in (1, 2, 3) for g in (1, 2, 3)), "digit")
+
+GEN_PROFILES = ["dataset", "gen", "--count", "1", "--tool", "big_sphere",
+                *(a for p in PROFILES for a in ("--profile", p)),
+                "--step", "0.4", "--seed", "11"]
+
 # (name, argv); each command writes to --out <name>
 PIPELINE = [
     ("gen", GEN),
@@ -70,6 +78,7 @@ PIPELINE = [
     ("gen-envelope", [*GEN, "--pose-range", "8", "8", "30", "30", "180"]),
     ("gen-long", GEN_LONG),
     ("gen-block-edges", GEN_BLOCK_EDGES),
+    ("gen-profiles", GEN_PROFILES),
     ("balance", ["dataset", "balance", "--data", "gen/dataset.faf", "--seed", "2"]),
     ("stats", ["dataset", "stats", "--data", "balance/balanced.faf"]),
     ("train-vit", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
@@ -90,6 +99,10 @@ PIPELINE = [
         *CALIBRATE])
       for enc in ("vit", "conv")
       for scope in ("auto", "final-layer", "regressor-head", "full")],
+    # a workbench gel of another stiffness than digit's, so the rig's
+    # force-to-depth root is pinned on a second gel
+    ("calibrate-vit-sensor2-gel2", ["calibrate", "--checkpoint", "train-vit/model.fafw",
+                                    "--profile", "sensor2-gel2", *CALIBRATE]),
     ("weigh-oracle", ["task", "weigh", *WEIGH]),
     ("deform-oracle", ["task", "deform", *DEFORM]),
     ("deform-oracle-long", ["task", "deform", *DEFORM_LONG]),
