@@ -9,9 +9,10 @@ concat/slicing, and sum/mean/abs/square/sqrt reductions.
 The graph is a dynamic tape: every op result remembers its parents and
 a VJP closure, and `backward` replays the tape in reverse construction
 order. Values are immutable after creation; gradients accumulate into
-`.grad` of `requires_grad` leaves until `zero_grad`. A VJP returns None,
-computing nothing, for a parent that needs no gradient, such as a
-constant input, a constant scale or a frozen parameter.
+`.grad` of `requires_grad` leaves until the optimizer's `zero_grad`.
+A VJP returns None, computing nothing, for a parent that needs no
+gradient, such as a constant input, a constant scale or a frozen
+parameter.
 """
 
 from __future__ import annotations
@@ -73,18 +74,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def numpy(self):
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -174,8 +163,8 @@ def _unbroadcast(g, shape):
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
 
-    Repeated calls without `zero_grad` accumulate, matching the usual
-    gradient-descent batching contract.
+    Repeated calls without the optimizer's `zero_grad` accumulate,
+    matching the usual gradient-descent batching contract.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")

@@ -151,7 +151,9 @@ def rig_sample(profile, rig, mass, rng):
     """One calibration frame: known-mass force label plus rendered image.
 
     The normal label is quantize(m*g) by construction. Tilt redirects
-    the weight, producing a small quantized shear label.
+    the weight, producing a small quantized shear label. A zero mass
+    presses to depth 0: the frame is the background with a zero depth
+    map, plus readout noise on a noisy profile.
     """
     fz = quantize(mass * GRAVITY_MS2, profile.force_quantum)
     tool = get_indenter("big_sphere")
@@ -160,33 +162,26 @@ def rig_sample(profile, rig, mass, rng):
     tilt = rng.uniform(0.0, rig.max_tilt_deg)
     heading = rng.uniform(0.0, 2 * np.pi)
     seed = int(rng.integers(0, 2**63 - 1))
-    if mass == 0.0:
-        image = profile.background()
-        depth_map = np.zeros(image.shape[:2], dtype=np.float32)
-        force = np.zeros(3)
-        pose = np.zeros(6)
-    else:
-        depth = sphere_depth_for_force(mass * GRAVITY_MS2, profile)
-        roll = tilt * np.cos(heading)
-        pitch = tilt * np.sin(heading)
-        contact = compute_contact(tool, ToolPose(x, y, roll, pitch, 0.0),
-                                  depth, profile=profile)
-        image, depth_map = render_tactile(contact, profile, rng_seed=seed)
-        shear = mass * GRAVITY_MS2 * np.sin(np.radians(tilt))
-        force = np.array([quantize(shear * np.cos(heading), profile.force_quantum),
-                          quantize(shear * np.sin(heading), profile.force_quantum),
-                          fz])
-        pose = np.array([x, y, -depth, roll, pitch, 0.0])
+    depth = sphere_depth_for_force(mass * GRAVITY_MS2, profile)
+    roll = tilt * np.cos(heading)
+    pitch = tilt * np.sin(heading)
+    contact = compute_contact(tool, ToolPose(x, y, roll, pitch, 0.0), depth, profile=profile)
+    image, depth_map = render_tactile(contact, profile, rng_seed=seed)
+    shear = mass * GRAVITY_MS2 * np.sin(np.radians(tilt))
+    force = np.array([quantize(shear * np.cos(heading), profile.force_quantum),
+                      quantize(shear * np.sin(heading), profile.force_quantum),
+                      fz])
+    pose = np.array([x, y, -depth, roll, pitch, 0.0])
     return TactileSample(image=image, depth=depth_map, force=force, pose=pose,
                          indenter_id=INDENTER_IDS["big_sphere"],
                          profile_id=PROFILE_IDS[profile.name])
 
 
 def collect_calibration(profile, rig=None, n=100, seed=0):
-    """Capture n frames at random placements over the rig's mass set."""
+    """Capture n frames at random placements over the rig's positive masses."""
     rig = rig or CalibrationRig()
     rng = np.random.default_rng(seed)
-    masses = [m for m in rig.masses if m > 0] or list(rig.masses)
+    masses = [m for m in rig.masses if m > 0]
     return [rig_sample(profile, rig, masses[int(rng.integers(len(masses)))], rng)
             for _ in range(n)]
 

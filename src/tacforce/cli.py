@@ -7,16 +7,21 @@ Subcommands
     calibrate                   few-shot adapt a checkpoint to a new sensor
     task weigh|deform           run the downstream manipulation experiments
 
-Every subcommand is a pure function of its flags and --seed: re-runs
-overwrite the same output files with byte-identical content. Numeric
-CSV cells carry 6 significant digits. Exit codes are listed in the
---help epilog; 0 means no error was raised.
+Every subcommand writes into --out and takes only the shared flags it
+reads: --seed on all but eval and dataset stats, --profile on dataset
+gen, calibrate and the tasks, and --config on train alone. Each is a
+pure function of its flags and --seed: re-runs overwrite the same
+output files with byte-identical content. Numeric CSV cells carry 6
+significant digits. Exit codes are listed in the --help epilog; 0 means
+no error was raised, and a command that fails removes the --out
+directory it created, parents included.
 """
 
 import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -114,9 +119,9 @@ def _read_config(path):
     return raw
 
 
-def _train_config(args):
+def _train_config(args, config):
     """The config's train section, with every flag given on the command line winning."""
-    merged = dict(args.config.get("train", {}))
+    merged = dict(config.get("train", {}))
     for field in dataclasses.fields(TrainConfig):
         value = getattr(args, field.name)
         if value is not None:
@@ -255,14 +260,15 @@ def cmd_dataset_stats(args):
 # -- train / eval -------------------------------------------------------------
 
 def cmd_train(args):
+    sections = _read_config(args.config)
     samples = ds.load(args.data)
     normalizer = ds.DepthNormalizer.from_samples(samples)
-    model_fields = dict(args.config.get("model", {}))
+    model_fields = dict(sections.get("model", {}))
     if args.conv_encoder:
         model_fields["encoder"] = "conv"
     config = ModelConfig(**model_fields)
     data = make_training_arrays(samples, normalizer, size=config.input_size)
-    cfg = _train_config(args)
+    cfg = _train_config(args, sections)
     net = ForceNet(config, seed=args.seed)
     curve = train(data, net, cfg)
     _save_net(_out(args, "model.fafw"), net, config, normalizer)
@@ -381,6 +387,8 @@ def cmd_task_weigh(args):
     scenario = PushScenario(mass=args.mass, mu=args.mu, profile_name=profile_name,
                             n_frames=args.frames, ramp_frames=args.ramp,
                             noise_n=args.noise)
+    if args.trials < 1:
+        raise ContractError(f"--trials must be positive, got {args.trials}")
     traces = [simulate_push(scenario, seed=args.seed + t) for t in range(args.trials)]
     # each push goes through the estimator once; both weighings reuse its readings
     readings = {id(trace.samples): np.asarray(estimator(trace.samples), dtype=np.float64)
@@ -445,16 +453,31 @@ def _epilog():
 
 _BIN_HELP = "width of the F^z histogram bins, in N (default: %(default)s)"
 
+# the --profile default of each subcommand that takes the flag
+_DEFAULT_PROFILES = {
+    "dataset": ("sensor1-gel1",),
+    "calibrate": ("digit",),
+    "task": ("digit",),
+}
+
+
+def _flag(*names, **kwargs):
+    """A parent parser holding one shared flag."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **kwargs)
+    return parser
+
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="single seed driving every random draw")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--config", default=None,
-                        help="JSON file with optional 'model' and 'train' sections")
-    common.add_argument("--profile", action="append", default=None,
-                        help="sensor profile name (repeatable)")
+    out = _flag("--out", default="out", help="output directory")
+    seed = _flag("--seed", type=int, default=0, help="single seed driving every random draw")
+    config = _flag("--config", default=None,
+                   help="JSON file with optional 'model' and 'train' sections")
+    profile = {command: _flag("--profile", action="append", default=None,
+                              help="sensor profile name ("
+                                   + ("repeatable; " if command == "dataset" else "")
+                                   + f"default: {' '.join(names)})")
+               for command, names in _DEFAULT_PROFILES.items()}
 
     top = argparse.ArgumentParser(
         prog="tacforce", description=__doc__, epilog=_epilog(),
@@ -464,7 +487,8 @@ def build_parser():
     p_data = sub.add_parser("dataset", help="build or inspect FAF1 datasets")
     dsub = p_data.add_subparsers(dest="action", required=True)
 
-    p_gen = dsub.add_parser("gen", parents=[common], help="simulate indentations")
+    p_gen = dsub.add_parser("gen", parents=[out, seed, profile["dataset"]],
+                            help="simulate indentations")
     p_gen.add_argument("--tool", action="append", default=None,
                        help="indenter name (repeatable)")
     p_gen.add_argument("--count", type=int, default=8,
@@ -483,19 +507,19 @@ def build_parser():
                             "and yaw in degrees (default: "
                             f"{' '.join(f'{v:g}' for v in dataclasses.astuple(PoseRange()))})")
 
-    p_bal = dsub.add_parser("balance", parents=[common],
+    p_bal = dsub.add_parser("balance", parents=[out, seed],
                             help="cap per-bin counts at the median")
     p_bal.add_argument("--data", required=True)
     p_bal.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N,
                        help=_BIN_HELP)
 
-    p_stats = dsub.add_parser("stats", parents=[common],
+    p_stats = dsub.add_parser("stats", parents=[out],
                               help="print per-bin counts and force ranges")
     p_stats.add_argument("--data", required=True)
     p_stats.add_argument("--bin", type=float, default=ds.DEFAULT_BIN_WIDTH_N,
                          help=_BIN_HELP)
 
-    p_train = sub.add_parser("train", parents=[common], help="fit the estimator")
+    p_train = sub.add_parser("train", parents=[out, seed, config], help="fit the estimator")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--batch-size", type=int, default=None)
@@ -514,13 +538,13 @@ def build_parser():
                          const=False, default=None)
     p_train.add_argument("--conv-encoder", action="store_true")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="score checkpoints")
+    p_eval = sub.add_parser("eval", parents=[out], help="score checkpoints")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--checkpoint", action="append", default=None,
                         help="model file (repeatable; one summary row each)")
     p_eval.add_argument("--estimator", choices=("net", "oracle"), default="net")
 
-    p_cal = sub.add_parser("calibrate", parents=[common],
+    p_cal = sub.add_parser("calibrate", parents=[out, seed, profile["calibrate"]],
                            help="few-shot adapt to a new sensor")
     p_cal.add_argument("--checkpoint", required=True)
     p_cal.add_argument("--data", default=None,
@@ -535,7 +559,7 @@ def build_parser():
     p_task = sub.add_parser("task", help="downstream manipulation experiments")
     tsub = p_task.add_subparsers(dest="action", required=True)
 
-    p_weigh = tsub.add_parser("weigh", parents=[common],
+    p_weigh = tsub.add_parser("weigh", parents=[out, seed, profile["task"]],
                               help="estimate an object's mass from pushes")
     p_weigh.add_argument("--estimator", choices=("oracle", "net"), default="oracle")
     p_weigh.add_argument("--checkpoint", action="append", default=None)
@@ -546,7 +570,7 @@ def build_parser():
     p_weigh.add_argument("--frames", type=int, default=30)
     p_weigh.add_argument("--ramp", type=int, default=5)
 
-    p_def = tsub.add_parser("deform", parents=[common],
+    p_def = tsub.add_parser("deform", parents=[out, seed, profile["task"]],
                             help="close a gripper to a target force")
     p_def.add_argument("--target", type=float, required=True)
     p_def.add_argument("--estimator", choices=("oracle", "net"), default="oracle")
@@ -556,25 +580,27 @@ def build_parser():
     return top
 
 
-_DEFAULT_PROFILES = {
-    "dataset": ("sensor1-gel1",),
-    "train": (),
-    "eval": (),
-    "calibrate": ("digit",),
-    "task": ("digit",),
-}
+def _make_out_dir(path):
+    """Create ``path`` and its missing parents, as ``os.path.abspath``
+    reads them; returns the topmost directory made, or None."""
+    top = None
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        top, head = head, os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return top
 
 
 def _dispatch(args):
-    # from here on args.config holds the parsed sections, not the path
-    args.config = _read_config(args.config)
-    args.profile = tuple(args.profile or _DEFAULT_PROFILES[args.command])
-    os.makedirs(args.out, exist_ok=True)
     if not os.access(args.out, os.W_OK):
         raise ContractError(f"output directory {args.out!r} is not writable")
-    for name in args.profile:
-        if name not in PROFILE_IDS:
-            raise ContractError(f"unknown profile {name!r}")
+    if getattr(args, "seed", 0) < 0:
+        raise ContractError(f"--seed must be non-negative, got {args.seed}")
+    if "profile" in args:
+        args.profile = tuple(args.profile or _DEFAULT_PROFILES[args.command])
+        for name in args.profile:
+            if name not in PROFILE_IDS:
+                raise ContractError(f"unknown profile {name!r}")
     name = args.command + (f" {args.action}" if getattr(args, "action", None) else "")
     handlers = {
         "dataset gen": cmd_dataset_gen,
@@ -591,14 +617,21 @@ def _dispatch(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    created = None
+    code = 1
     try:
-        return _dispatch(args)
+        created = _make_out_dir(args.out)
+        code = _dispatch(args)
     except TacforceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        code = EXIT_CODES.get(type(exc), 1)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        # a failed command leaves no directory behind that it created
+        if code != 0 and created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -45,10 +45,6 @@ class RigidTransform:
             np.zeros(3) if translation is None else np.asarray(translation, dtype=np.float64)
         )
 
-    @classmethod
-    def from_euler(cls, roll, pitch, yaw, translation=None):
-        return cls(euler_to_matrix(roll, pitch, yaw), translation)
-
     def apply(self, points):
         """Transform one point (3,) or many (N, 3)."""
         p = np.asarray(points, dtype=np.float64)
@@ -88,9 +84,10 @@ class PoseRange:
                 raise ContractError(f"pose range {field.name} must be finite and "
                                     f"non-negative, got {value}")
         if self.roll > 30.0 or self.pitch > 30.0:
-            raise ContractError("tilt ranges are capped at 30 degrees")
+            raise ContractError(f"pose range roll and pitch are capped at 30 degrees, "
+                                f"got {self.roll} and {self.pitch}")
         if self.yaw > 180.0:
-            raise ContractError("yaw range is capped at 180 degrees")
+            raise ContractError(f"pose range yaw is capped at 180 degrees, got {self.yaw}")
 
     def contains(self, x, y, roll, pitch, yaw):
         """True when the pose lies inside the box (yaw compared modulo 360)."""
@@ -135,11 +132,3 @@ def register_frames(points_a, points_b):
     rot = vt.T @ diag @ u.T
     t = cb - rot @ ca
     return RigidTransform(rot, t)
-
-
-def registration_residual(transform, points_a, points_b):
-    """RMS distance between transformed A points and their B partners."""
-    a = np.asarray(points_a, dtype=np.float64)
-    b = np.asarray(points_b, dtype=np.float64)
-    diff = transform.apply(a) - b
-    return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))

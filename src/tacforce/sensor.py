@@ -57,13 +57,6 @@ import numpy as np
 from .errors import ContractError, SafetyError
 from .geometry import euler_to_matrix
 
-GRID_WIDTH_PX = 64
-GRID_HEIGHT_PX = 48
-GRID_WIDTH_MM = 24.0
-GRID_HEIGHT_MM = 18.0
-PIXEL_PITCH = GRID_WIDTH_MM / GRID_WIDTH_PX  # 0.375 mm, same along both axes
-PIXEL_AREA = PIXEL_PITCH * PIXEL_PITCH
-DEFAULT_GEL_THICKNESS = 3.0
 FORCE_QUANTUM_N = 0.04
 GRAVITY_MS2 = 9.81
 
@@ -120,26 +113,15 @@ class ContactState:
         return float(self.penetration.sum() * self.pixel_area)
 
 
-def pixel_grid(profile=None, scale=1):
-    """Pixel-center coordinates (u, v) in mm, each (H*scale, W*scale).
-
-    The arrays are built once per grid geometry and ``scale`` and then
-    shared, so they are read-only.
-    """
-    uu, vv, _ = _grid(*_grid_geometry(profile), scale)
-    return uu, vv
-
-
 def _grid_geometry(profile):
-    if profile is None:
-        return GRID_WIDTH_MM, GRID_HEIGHT_MM, GRID_WIDTH_PX, GRID_HEIGHT_PX
     return profile.width_mm, profile.height_mm, profile.width_px, profile.height_px
 
 
 @functools.lru_cache(maxsize=64)
 def _grid(width_mm, height_mm, width_px, height_px, scale):
-    """Read-only (uu, vv, points): the meshgrid and its (H*W, 3) rows
-    (u, v, 0) on the gel plane."""
+    """Read-only (uu, vv, points): the pixel-centre meshgrid in mm, each
+    (H*scale, W*scale), and its (H*W*scale^2, 3) rows (u, v, 0) on the
+    gel plane. Built once per grid geometry and ``scale``, then shared."""
     pitch = width_mm / width_px / scale
     u = -width_mm / 2 + pitch * (np.arange(width_px * scale) + 0.5)
     v = -height_mm / 2 + pitch * (np.arange(height_px * scale) + 0.5)
@@ -208,11 +190,12 @@ def check_safe_pose(indenter, pose):
         raise SafetyError(f"pose {pose} is outside the safe envelope for {indenter.name}")
 
 
-def compute_contact(indenter, pose, depth, profile=None, scale=1):
+def compute_contact(indenter, pose, depth, profile, scale=1):
     """Penetration field for a tool pressed to ``depth`` mm.
 
-    Poses outside the tool's safe envelope and depths beyond the gel
-    raise SafetyError before any geometry is evaluated. ``scale``
+    The pad's grid and gel thickness come from ``profile``. Poses
+    outside the tool's safe envelope and depths beyond the gel raise
+    SafetyError before any geometry is evaluated. ``scale``
     supersamples the grid (for integration accuracy studies); the pixel
     area shrinks accordingly so volumes stay comparable.
 
@@ -222,7 +205,7 @@ def compute_contact(indenter, pose, depth, profile=None, scale=1):
     return compute_contacts(indenter, pose, [depth], profile, scale)[0]
 
 
-def compute_contacts(indenter, pose, depths, profile=None, scale=1):
+def compute_contacts(indenter, pose, depths, profile, scale=1):
     """Contacts of one tool at one pose pressed to each of ``depths`` mm.
 
     Returns one ContactState per depth. Every pixel column is a ray
@@ -255,13 +238,12 @@ def compute_contacts(indenter, pose, depths, profile=None, scale=1):
     in all casts that depth's whole grid instead.
     """
     depths = [float(d) for d in depths]
-    gel_thickness = DEFAULT_GEL_THICKNESS if profile is None else profile.gel_thickness
     for depth in depths:
         if not depth >= 0:
             raise ContractError(f"indentation depth must be >= 0, got {depth}")
-        if depth > gel_thickness:
+        if depth > profile.gel_thickness:
             raise SafetyError(
-                f"commanded depth {depth:.3f} mm exceeds the {gel_thickness:.3f} mm gel"
+                f"commanded depth {depth:.3f} mm exceeds the {profile.gel_thickness:.3f} mm gel"
             )
     check_safe_pose(indenter, pose)
     rot, translation, drag = tool_transform(indenter, pose, depths)
@@ -280,7 +262,7 @@ def compute_contacts(indenter, pose, depths, profile=None, scale=1):
         hit, smin = indenter.line_min(origins, rot.T @ np.array([0.0, 0.0, 1.0]))
         delta[cast] = np.where(hit & (smin < 0.0), -smin, 0.0)
 
-    pitch = (GRID_WIDTH_MM / GRID_WIDTH_PX if profile is None else profile.pixel_pitch) / scale
+    pitch = profile.pixel_pitch / scale
     return [ContactState(penetration=delta[k], pose=pose, depth=depth, drag=drag[k],
                          pixel_area=pitch * pitch)
             for k, depth in enumerate(depths)]
@@ -361,13 +343,6 @@ def depth_for_normal_force(indenter, pose, profile, fz):
     m = int(np.searchsorted(engaged_at, target, side="right"))
     m = max(m, 1)
     return float((target + csum[m]) / m)
-
-
-def sphere_penetration(radius, depth, r):
-    """Closed-form penetration profile of a sphere at radial distance r."""
-    r = np.asarray(r, dtype=np.float64)
-    cap = np.sqrt(np.maximum(radius * radius - r * r, 0.0)) - (radius - depth)
-    return np.where(r <= radius, np.maximum(cap, 0.0), 0.0)
 
 
 def surface_normals(penetration, pixel_pitch):

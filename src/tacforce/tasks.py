@@ -82,7 +82,9 @@ class PushScenario:
         if not 0.0 <= self.mu <= 1.5:
             raise ContractError(f"friction coefficient mu must lie in [0, 1.5], got {self.mu}")
         if self.ramp_frames < 0 or self.n_frames <= self.ramp_frames:
-            raise ContractError("scenario needs a constant-velocity segment")
+            raise ContractError("scenario needs a constant-velocity segment: ramp_frames "
+                                f"{self.ramp_frames} must be >= 0 and below n_frames "
+                                f"{self.n_frames}")
         if self.accel < 0:
             raise ContractError(f"accel must be non-negative, got {self.accel}")
         if self.noise_n < 0:
@@ -278,7 +280,7 @@ def estimate_weight(traces, mu, estimator):
     constant-velocity frames, the usual repeated-push averaging).
     """
     if mu <= 0:
-        raise ContractError("weighing requires a positive friction coefficient")
+        raise ContractError(f"weighing requires a positive friction coefficient mu, got {mu}")
     if isinstance(traces, PushTrace):
         traces = [traces]
     if not traces:

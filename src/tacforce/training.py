@@ -50,11 +50,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ContractError(f"{name} must be finite, got {value}")
-        # lr = 0 is allowed so "train for zero effect" stays expressible
-        if self.backbone_lr < 0 or self.head_lr < 0:
-            raise ContractError("learning rates must be non-negative")
-        if self.alpha < 0 or self.beta_w < 0:
-            raise ContractError("loss weights must be non-negative")
+            # lr = 0 is allowed so "train for zero effect" stays expressible
+            if value < 0:
+                raise ContractError(f"{name} must be non-negative, got {value}")
         if self.alpha + self.beta_w <= 0:
             raise ContractError("at least one loss weight must be positive")
         if self.batch_size < 1:

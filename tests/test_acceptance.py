@@ -23,8 +23,8 @@ from tacforce.geometry import PoseRange, euler_to_matrix, register_frames
 from tacforce.indenters import get_indenter
 from tacforce.model import ForceNet, ModelConfig
 from tacforce.profiles import PROFILE_NAMES, get_profile
-from tacforce.sensor import (FORCE_QUANTUM_N, GRAVITY_MS2, PIXEL_AREA,
-                             ToolPose, compute_contact, oracle_force, quantize)
+from tacforce.sensor import (FORCE_QUANTUM_N, GRAVITY_MS2, ToolPose, compute_contact,
+                             oracle_force, quantize)
 from tacforce.tasks import (CupModel, EllipseFit, PushScenario, RimObservation,
                             deformation_percent, estimate_weight, fit_ellipse,
                             fit_friction, grasp_to_force, net_estimator,
@@ -208,7 +208,7 @@ def test_oracle_consistency():
         worst = max(worst, abs(sim - ref))
 
     cube = get_indenter("cube")
-    footprint = 676 * PIXEL_AREA  # 26x26 pixel centers under the 10 mm face
+    footprint = 676 * prof.pixel_area  # 26x26 pixel centers under the 10 mm face
     cube_exact = True
     for d in (0.3, 0.8, 1.5):
         contact = compute_contact(cube, pose, d, profile=prof)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -107,6 +108,18 @@ class TestDispatch:
         out = tmp_path / "deep" / "er"
         assert main(["dataset", "gen", "--out", str(out), "--count", "0"]) == 0
         assert os.path.isdir(out) and (out / "dataset.faf").exists()
+
+    def test_failed_command_leaves_no_out_dir(self, tmp_path, capsys):
+        # a 5 mm step lands below the 3 mm gel at once: exit 5
+        failing = ["dataset", "gen", "--count", "1", "--tool", "cube", "--step", "5"]
+        assert main([*failing, "--out", str(tmp_path / "new" / "X")]) == EXIT_CODES[SafetyError]
+        assert os.listdir(tmp_path) == []
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "note").write_text("mine")
+        assert main([*failing, "--out", str(kept)]) == EXIT_CODES[SafetyError]
+        assert os.listdir(kept) == ["note"] and (kept / "note").read_text() == "mine"
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDatasetCommands:
@@ -464,3 +477,111 @@ class TestInputSize:
         assert main(["task", "deform", "--out", str(tmp_path / "deform"),
                      "--estimator", "net", "--checkpoint", ckpt,
                      "--target", "0"]) == 0
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command words, parser) of every subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, (*prefix, name))
+            return
+    yield " ".join(prefix), parser
+
+
+def _run(argv, capsys):
+    """(exit code, stderr) of one in-process CLI run."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+# the shared flags each subcommand does not read
+DROPPED = [("dataset gen", "--config"), ("dataset balance", "--config"),
+           ("dataset stats", "--config"), ("eval", "--config"), ("calibrate", "--config"),
+           ("task weigh", "--config"), ("task deform", "--config"),
+           ("dataset balance", "--profile"), ("dataset stats", "--profile"),
+           ("train", "--profile"), ("eval", "--profile"),
+           ("eval", "--seed"), ("dataset stats", "--seed")]
+
+# flags that size the work: a huge value is a valid request for a long run
+WORK_SIZE = {"--count", "--epochs", "--samples", "--steps", "--trials", "--frames"}
+
+
+class TestFlagFuzz:
+    """Every numeric flag of every subcommand, fed NaN, +-inf, a negative,
+    zero and a huge value drawn from a fixed seed, exits with a documented
+    code and no traceback. A usage or contract error (exit 2 or 4) names
+    the flag, and a failed run leaves no --out behind. Each base command
+    is small, so a run that passes validation ends in well under a second."""
+
+    @staticmethod
+    def bases(workdir):
+        data, ckpt = str(workdir["data"]), str(workdir["checkpoint"])
+        return {
+            "dataset gen": ["dataset", "gen", "--count", "1", "--tool", "cube",
+                            "--step", "0.4", "--f-max", "6"],
+            "dataset balance": ["dataset", "balance", "--data", data],
+            "dataset stats": ["dataset", "stats", "--data", data],
+            "train": ["train", "--data", data, "--config", str(workdir["config"]),
+                      "--epochs", "1"],
+            "eval": ["eval", "--data", data, "--estimator", "oracle"],
+            "calibrate": ["calibrate", "--checkpoint", ckpt, "--samples", "8", "--steps", "1"],
+            "task weigh": ["task", "weigh", "--trials", "1", "--frames", "6", "--ramp", "2"],
+            "task deform": ["task", "deform", "--target", "1"],
+        }
+
+    @staticmethod
+    def values(rng, action):
+        """The fuzz values of one flag, as command-line text."""
+        out = ["nan", "inf", "-inf", "0"]
+        if action.type is int:
+            out.append(str(-int(rng.integers(1, 10**6))))
+            if action.option_strings[0] not in WORK_SIZE:
+                out.append(str(int(rng.integers(2**40, 2**62))))
+        else:
+            out.append(repr(-float(rng.uniform(0.0, 1e3))))
+            out.append(repr(10.0 ** float(rng.uniform(6.0, 300.0))))
+        return out
+
+    def test_numeric_flags(self, workdir, tmp_path, capsys):
+        bases = self.bases(workdir)
+        leaves = dict(_leaf_parsers(build_parser()))
+        assert set(leaves) == set(bases)
+        documented = {0, 2, *EXIT_CODES.values()}
+        rng = np.random.default_rng(1234)
+        runs = 0
+        for command, parser in leaves.items():
+            for action in parser._actions:
+                if action.type not in (int, float):
+                    continue
+                flag = action.option_strings[0]
+                names = (flag, action.dest, action.dest.replace("_", " "))
+                for value in self.values(rng, action):
+                    if action.nargs == 5:
+                        args = ["4", "4", "10", "10", "180"]
+                        args[int(rng.integers(5))] = value
+                        given = [flag, *args]
+                    else:
+                        given = [f"{flag}={value}"]
+                    out = tmp_path / f"run{runs}" / "out"
+                    argv = [*bases[command], *given, "--out", str(out)]
+                    code, err = _run(argv, capsys)
+                    runs += 1
+                    assert code in documented, (argv, code, err)
+                    assert "Traceback" not in err, argv
+                    if code in (2, 4):
+                        assert any(name in err for name in names), (argv, err)
+                    if code != 0:
+                        assert not out.parent.exists(), argv
+        assert runs > 150
+
+    @pytest.mark.parametrize("command, flag", DROPPED)
+    def test_dropped_shared_flag_is_a_usage_error(self, workdir, tmp_path, capsys,
+                                                  command, flag):
+        argv = [*self.bases(workdir)[command], flag, "x", "--out", str(tmp_path / "out")]
+        code, err = _run(argv, capsys)
+        assert code == 2 and f"unrecognized arguments: {flag} x" in err
+        assert not (tmp_path / "out").exists()

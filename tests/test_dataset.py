@@ -95,7 +95,7 @@ class TestRunIndentation:
     def test_cube_force_staircase(self):
         # flat cube face: F^z per step is quantize(k * A * depth)
         out = ds.run_indentation(get_indenter("cube"), sen.ToolPose(), GEL1, step=0.1)
-        area = 676 * sen.PIXEL_AREA
+        area = 676 * GEL1.pixel_area
         q = GEL1.force_quantum
         expected = []
         j = 1

@@ -19,36 +19,51 @@ from tacforce.geometry import euler_to_matrix
 from tacforce.indenters import CATALOG, get_indenter
 from tacforce.profiles import PROFILE_NAMES, get_profile
 
+# the 64x48 grid at 0.375 mm pitch over a 3 mm gel
+PAD = get_profile("sensor1-gel1")
 # near-zero quantum: rounding error is a few ulps, far below test tolerances
-EXACT = get_profile("sensor1-gel1").replace(force_quantum=1e-15)
+EXACT = PAD.replace(force_quantum=1e-15)
 
 
 def center_pose(**kw):
     return sen.ToolPose(**kw)
 
 
+def pixel_grid(profile, scale=1):
+    """Pixel-centre coordinates (u, v) in mm, each (H*scale, W*scale)."""
+    uu, vv, _ = sen._grid(*sen._grid_geometry(profile), scale)
+    return uu, vv
+
+
+def sphere_penetration(radius, depth, r):
+    """Closed-form penetration profile of a sphere at radial distance r."""
+    r = np.asarray(r, dtype=np.float64)
+    cap = np.sqrt(np.maximum(radius * radius - r * r, 0.0)) - (radius - depth)
+    return np.where(r <= radius, np.maximum(cap, 0.0), 0.0)
+
+
 class TestGrid:
     def test_pitch_is_square(self):
-        assert sen.PIXEL_PITCH == pytest.approx(0.375)
-        assert sen.GRID_HEIGHT_MM / sen.GRID_HEIGHT_PX == pytest.approx(sen.PIXEL_PITCH)
+        assert PAD.pixel_pitch == pytest.approx(0.375)
+        assert PAD.height_mm / PAD.height_px == pytest.approx(PAD.pixel_pitch)
 
     def test_pixel_grid_shapes_and_extents(self):
-        uu, vv = sen.pixel_grid()
+        uu, vv = pixel_grid(PAD)
         assert uu.shape == (48, 64)
         assert uu[0, 0] == pytest.approx(-12 + 0.1875)
         assert uu[0, -1] == pytest.approx(12 - 0.1875)
         assert vv[-1, 0] == pytest.approx(9 - 0.1875)
 
     def test_grid_is_centro_symmetric(self):
-        uu, vv = sen.pixel_grid()
+        uu, vv = pixel_grid(PAD)
         np.testing.assert_allclose(uu, -uu[::-1, ::-1], atol=1e-12)
         np.testing.assert_allclose(vv, -vv[::-1, ::-1], atol=1e-12)
 
     def test_grids_are_cached_read_only(self):
-        uu, vv = sen.pixel_grid()
-        again = sen.pixel_grid(get_profile("digit"))  # same geometry as the default
+        uu, vv = pixel_grid(PAD)
+        again = pixel_grid(get_profile("digit"))  # the same grid geometry
         assert again[0] is uu and again[1] is vv
-        fine = sen.pixel_grid(scale=2)
+        fine = pixel_grid(PAD, scale=2)
         assert fine[0].shape == (96, 128) and fine[0] is not uu
         for arr in (uu, vv, fine[0]):
             assert not arr.flags.writeable
@@ -63,13 +78,13 @@ class TestGrid:
 
 class TestSphereClosedForm:
     def test_penetration_field_matches_pixelwise(self):
-        contact = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.2)
-        uu, vv = sen.pixel_grid()
-        expected = sen.sphere_penetration(8.0, 1.2, np.hypot(uu, vv))
+        contact = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.2, PAD)
+        uu, vv = pixel_grid(PAD)
+        expected = sphere_penetration(8.0, 1.2, np.hypot(uu, vv))
         np.testing.assert_allclose(contact.penetration, expected, atol=1e-10)
 
     def test_volume_against_analytic_load(self):
-        contact = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.2)
+        contact = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.2, PAD)
         force = sen.oracle_force(contact, EXACT)
         analytic = sen.sphere_normal_force(8.0, 1.2, EXACT.normal_stiffness)
         assert force[2] == pytest.approx(analytic, rel=2e-3)
@@ -80,7 +95,7 @@ class TestSphereClosedForm:
         errs = {}
         for scale in (1, 4):
             contact = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.2,
-                                          scale=scale)
+                                          PAD, scale=scale)
             fz = sen.oracle_force(contact, EXACT)[2]
             errs[scale] = abs(fz - analytic) / analytic
         assert errs[1] < 2e-3
@@ -88,7 +103,7 @@ class TestSphereClosedForm:
         assert errs[1] / errs[4] > 4.0
 
     def test_small_sphere_too(self):
-        contact = sen.compute_contact(get_indenter("small_sphere"), center_pose(), 0.8)
+        contact = sen.compute_contact(get_indenter("small_sphere"), center_pose(), 0.8, PAD)
         fz = sen.oracle_force(contact, EXACT)[2]
         analytic = sen.sphere_normal_force(3.0, 0.8, EXACT.normal_stiffness)
         assert fz == pytest.approx(analytic, rel=5e-3)
@@ -98,19 +113,19 @@ class TestFlatFaceExactness:
     def test_cylinder_volume_is_exact(self):
         # flat face: penetration is exactly d on the 360 covered pixels
         d = 1.5
-        contact = sen.compute_contact(get_indenter("cylinder"), center_pose(), d)
+        contact = sen.compute_contact(get_indenter("cylinder"), center_pose(), d, PAD)
         assert int(contact.mask.sum()) == 360
         np.testing.assert_allclose(contact.penetration[contact.mask], d, atol=1e-12)
-        assert contact.displaced_volume == pytest.approx(d * 360 * sen.PIXEL_AREA, abs=1e-12)
+        assert contact.displaced_volume == pytest.approx(d * 360 * PAD.pixel_area, abs=1e-12)
 
     def test_cube_volume_is_exact(self):
         d = 2.0
-        contact = sen.compute_contact(get_indenter("cube"), center_pose(), d)
+        contact = sen.compute_contact(get_indenter("cube"), center_pose(), d, PAD)
         assert int(contact.mask.sum()) == 676
-        assert contact.displaced_volume == pytest.approx(d * 676 * sen.PIXEL_AREA, abs=1e-12)
+        assert contact.displaced_volume == pytest.approx(d * 676 * PAD.pixel_area, abs=1e-12)
 
     def test_cylinder_max_depth_equals_command(self):
-        contact = sen.compute_contact(get_indenter("cylinder"), center_pose(), 2.2)
+        contact = sen.compute_contact(get_indenter("cylinder"), center_pose(), 2.2, PAD)
         assert contact.penetration.max() == pytest.approx(2.2, abs=1e-12)
 
 
@@ -120,7 +135,7 @@ class TestMonotonicity:
         pose = center_pose(roll=4.0, pitch=-6.0, yaw=25.0)
         vols = []
         for d in np.arange(0.3, 3.01, 0.3):
-            c = sen.compute_contact(get_indenter(name), pose, float(d))
+            c = sen.compute_contact(get_indenter(name), pose, float(d), PAD)
             vols.append(c.displaced_volume)
         diffs = np.diff(vols)
         assert (diffs > 0).all(), f"{name}: volumes not strictly increasing: {vols}"
@@ -129,14 +144,14 @@ class TestMonotonicity:
 class TestFrameConsistency:
     def test_half_turn_flips_the_field_exactly(self):
         tool = get_indenter("ellipsoid")
-        a = sen.compute_contact(tool, sen.ToolPose(1.5, -2.25, 7.0, 12.0, 33.0), 1.8)
-        b = sen.compute_contact(tool, sen.ToolPose(-1.5, 2.25, 7.0, 12.0, 213.0), 1.8)
+        a = sen.compute_contact(tool, sen.ToolPose(1.5, -2.25, 7.0, 12.0, 33.0), 1.8, PAD)
+        b = sen.compute_contact(tool, sen.ToolPose(-1.5, 2.25, 7.0, 12.0, 213.0), 1.8, PAD)
         np.testing.assert_allclose(b.penetration, a.penetration[::-1, ::-1], atol=1e-9)
 
     def test_half_turn_negates_shear(self):
         tool = get_indenter("wedge")
-        a = sen.compute_contact(tool, sen.ToolPose(0.5, 1.0, 5.0, 9.0, 40.0), 1.5)
-        b = sen.compute_contact(tool, sen.ToolPose(-0.5, -1.0, 5.0, 9.0, 220.0), 1.5)
+        a = sen.compute_contact(tool, sen.ToolPose(0.5, 1.0, 5.0, 9.0, 40.0), 1.5, PAD)
+        b = sen.compute_contact(tool, sen.ToolPose(-0.5, -1.0, 5.0, 9.0, 220.0), 1.5, PAD)
         fa = sen.oracle_force(a, EXACT)
         fb = sen.oracle_force(b, EXACT)
         np.testing.assert_allclose(fb, [-fa[0], -fa[1], fa[2]], atol=1e-9)
@@ -145,7 +160,7 @@ class TestFrameConsistency:
         tool = get_indenter("big_sphere")
         forces = []
         for yaw in (0.0, 37.0, 123.0):
-            c = sen.compute_contact(tool, sen.ToolPose(0, 0, 0.0, 10.0, yaw), 1.5)
+            c = sen.compute_contact(tool, sen.ToolPose(0, 0, 0.0, 10.0, yaw), 1.5, PAD)
             forces.append(sen.oracle_force(c, EXACT))
         fz = [f[2] for f in forces]
         mags = [np.hypot(f[0], f[1]) for f in forces]
@@ -159,18 +174,18 @@ class TestFrameConsistency:
 
 class TestShear:
     def test_drag_follows_tilt(self):
-        c = sen.compute_contact(get_indenter("cube"), center_pose(pitch=10.0), 2.0)
+        c = sen.compute_contact(get_indenter("cube"), center_pose(pitch=10.0), 2.0, PAD)
         np.testing.assert_allclose(c.drag, [-2.0 * np.tan(np.deg2rad(10.0)), 0.0], atol=1e-12)
 
     def test_uncapped_shear_is_linear_in_drag(self):
-        c = sen.compute_contact(get_indenter("cube"), center_pose(pitch=5.0), 2.0)
+        c = sen.compute_contact(get_indenter("cube"), center_pose(pitch=5.0), 2.0, PAD)
         f = sen.oracle_force(c, EXACT)
         expected = EXACT.shear_stiffness * c.displaced_volume * c.drag
         np.testing.assert_allclose(f[:2], expected, atol=1e-12)
         assert np.hypot(*f[:2]) < EXACT.friction * f[2]
 
     def test_steep_tilt_hits_the_friction_cone(self):
-        c = sen.compute_contact(get_indenter("cube"), center_pose(pitch=30.0), 2.0)
+        c = sen.compute_contact(get_indenter("cube"), center_pose(pitch=30.0), 2.0, PAD)
         f = sen.oracle_force(c, EXACT)
         uncapped = EXACT.shear_stiffness * c.displaced_volume * np.hypot(*c.drag)
         cap = EXACT.friction * f[2]
@@ -184,16 +199,16 @@ class TestShear:
         triple = get_indenter("triple_cylinder")
         pose = center_pose(roll=3.0, pitch=8.0, yaw=15.0)
         rot, translation, _ = sen.tool_transform(triple, pose, 1.5)
-        whole = reference_field(triple, rot, translation)
-        parts = [reference_field(p, rot, translation) for p in triple.parts]
+        whole = reference_field(triple, rot, translation, PAD)
+        parts = [reference_field(p, rot, translation, PAD) for p in triple.parts]
         assert all((p > 0).any() for p in parts)
         np.testing.assert_allclose(whole, np.sum(parts, axis=0), atol=1e-12)
 
 
-def reference_field(indenter, rotation, translation, profile=None, scale=1):
+def reference_field(indenter, rotation, translation, profile, scale=1):
     """The whole-grid cast: one ray up through the tool per pixel centre.
     `compute_contacts` must match it bit for bit."""
-    uu, vv = sen.pixel_grid(profile, scale)
+    uu, vv = pixel_grid(profile, scale)
     points = np.stack([uu.ravel(), vv.ravel(), np.zeros(uu.size)], axis=1)
     origins = (points - translation) @ rotation
     hit, smin = indenter.line_min(origins, rotation.T @ np.array([0.0, 0.0, 1.0]))
@@ -202,7 +217,7 @@ def reference_field(indenter, rotation, translation, profile=None, scale=1):
     return delta.reshape(uu.shape)
 
 
-def reference_contact(indenter, pose, depth, profile=None, scale=1):
+def reference_contact(indenter, pose, depth, profile, scale=1):
     """(penetration, drag) of the tool pressed to one depth, placed as
     ``tool_transform`` places it and cast over the whole grid."""
     rot = euler_to_matrix(pose.roll, pose.pitch, pose.yaw)
@@ -271,7 +286,7 @@ class TestCulledCast:
         # sqrt(2 R d - d^2) = 0.89 mm; the bound's box is a few pixels wide
         indenter = get_indenter("big_sphere")
         rot, translation, _ = sen.tool_transform(indenter, sen.ToolPose(), [0.05])
-        cast = sen._footprint(indenter, rot, translation, sen._grid_geometry(None), 1)
+        cast = sen._footprint(indenter, rot, translation, sen._grid_geometry(PAD), 1)
         assert cast.sum() <= 10 * 10
 
     def test_one_depth_is_the_batch_row(self):
@@ -292,7 +307,7 @@ class TestCulledCast:
         # never cast alone
         indenter = get_indenter("small_sphere")
         pose = sen.ToolPose(x=1.0, y=-0.5, roll=9.0, pitch=4.0, yaw=30.0)
-        expected, _ = reference_contact(indenter, pose, 1.0)
+        expected, _ = reference_contact(indenter, pose, 1.0, PAD)
         row, col = np.unravel_index(np.argmax(expected), expected.shape)
 
         def one_pixel(indenter, rot, translation, geometry, scale):
@@ -301,25 +316,25 @@ class TestCulledCast:
             return cast
 
         monkeypatch.setattr(sen, "_footprint", one_pixel)
-        c = sen.compute_contacts(indenter, pose, [0.5, 1.0])
+        c = sen.compute_contacts(indenter, pose, [0.5, 1.0], PAD)
         assert c[1].penetration.tobytes() == expected.tobytes()
         assert not c[0].penetration.any()
 
     def test_no_depths_no_contacts(self):
-        assert sen.compute_contacts(get_indenter("cube"), sen.ToolPose(), []) == []
+        assert sen.compute_contacts(get_indenter("cube"), sen.ToolPose(), [], PAD) == []
 
 
 class TestQuantization:
     def test_forces_are_multiples_of_the_quantum(self):
         profile = get_profile("sensor1-gel1")
-        c = sen.compute_contact(get_indenter("cone"), center_pose(pitch=7.0), 2.1)
+        c = sen.compute_contact(get_indenter("cone"), center_pose(pitch=7.0), 2.1, PAD)
         f = sen.oracle_force(c, profile)
         steps = f / profile.force_quantum
         np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
 
     def test_quantization_error_is_at_most_half_a_step(self):
         profile = get_profile("sensor1-gel1")
-        c = sen.compute_contact(get_indenter("ring"), center_pose(pitch=6.0), 1.7)
+        c = sen.compute_contact(get_indenter("ring"), center_pose(pitch=6.0), 1.7, PAD)
         raw = sen.oracle_force(c, EXACT)
         q = sen.oracle_force(c, profile)
         assert np.abs(q - raw).max() <= profile.force_quantum / 2 + 1e-12
@@ -328,7 +343,7 @@ class TestQuantization:
 class TestSafety:
     def test_depth_beyond_gel_raises(self):
         with pytest.raises(SafetyError, match="exceeds"):
-            sen.compute_contact(get_indenter("cube"), center_pose(), 3.2)
+            sen.compute_contact(get_indenter("cube"), center_pose(), 3.2, PAD)
 
     def test_custom_gel_thickness(self):
         thin = get_profile("sensor1-gel1").replace(gel_thickness=1.0)
@@ -337,22 +352,22 @@ class TestSafety:
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ContractError):
-            sen.compute_contact(get_indenter("cube"), center_pose(), -0.1)
+            sen.compute_contact(get_indenter("cube"), center_pose(), -0.1, PAD)
 
     def test_non_finite_depth_rejected(self):
         cube = get_indenter("cube")
         with pytest.raises(ContractError, match="depth"):
-            sen.compute_contact(cube, center_pose(), float("nan"))
+            sen.compute_contact(cube, center_pose(), float("nan"), PAD)
         with pytest.raises(ContractError, match="depth"):
-            sen.compute_contacts(cube, center_pose(), [0.5, float("nan")])
+            sen.compute_contacts(cube, center_pose(), [0.5, float("nan")], PAD)
         with pytest.raises(SafetyError, match="exceeds"):
-            sen.compute_contacts(cube, center_pose(), [0.5, float("inf")])
+            sen.compute_contacts(cube, center_pose(), [0.5, float("inf")], PAD)
 
     def test_pose_outside_safe_envelope_rejected(self):
         with pytest.raises(SafetyError, match="safe"):
-            sen.compute_contact(get_indenter("cube"), center_pose(pitch=89.0), 0.5)
+            sen.compute_contact(get_indenter("cube"), center_pose(pitch=89.0), 0.5, PAD)
         with pytest.raises(SafetyError, match="safe"):
-            sen.compute_contact(get_indenter("cube"), center_pose(x=9.5), 0.5)
+            sen.compute_contact(get_indenter("cube"), center_pose(x=9.5), 0.5, PAD)
 
     def test_sideways_axis_rejected_at_the_transform(self):
         with pytest.raises(ContractError, match="axis"):
@@ -360,14 +375,15 @@ class TestSafety:
 
     def test_penetration_never_exceeds_depth(self):
         for name in ("big_sphere", "cube", "wedge", "ring"):
-            c = sen.compute_contact(get_indenter(name), center_pose(roll=5.0, pitch=8.0), 2.5)
+            c = sen.compute_contact(get_indenter(name), center_pose(roll=5.0, pitch=8.0), 2.5,
+                                    PAD)
             assert c.penetration.max() <= 2.5 + 1e-9
 
 
 class TestRendering:
     def test_untouched_gel_reproduces_background(self):
         profile = get_profile("sensor1-gel1")
-        c = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 0.0)
+        c = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 0.0, PAD)
         assert c.displaced_volume == 0.0
         img, depth = sen.render_tactile(c, profile)
         np.testing.assert_array_equal(img, profile.background(48, 64))
@@ -376,7 +392,7 @@ class TestRendering:
 
     def test_shape_dtype_determinism(self):
         profile = get_profile("sensor2-gel3")
-        c = sen.compute_contact(get_indenter("cross"), center_pose(pitch=5.0), 1.5)
+        c = sen.compute_contact(get_indenter("cross"), center_pose(pitch=5.0), 1.5, PAD)
         a, da = sen.render_tactile(c, profile)
         b, db = sen.render_tactile(c, profile)
         assert a.shape == (48, 64, 3)
@@ -389,10 +405,10 @@ class TestRendering:
         # sensor1's red light sits at azimuth 0 (+x): the +x wall of a
         # spherical dent faces it and catches the red
         profile = get_profile("sensor1-gel1")
-        c = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.5)
+        c = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.5, PAD)
         img, _ = sen.render_tactile(c, profile)
         excess = img.astype(np.float64) - profile.background(48, 64).astype(np.float64)
-        uu, vv = sen.pixel_grid()
+        uu, vv = pixel_grid(PAD)
         red = np.maximum(excess[..., 0], 0.0)
         assert red.sum() > 0
         com_u = float((red * uu).sum() / red.sum())
@@ -409,7 +425,7 @@ class TestRendering:
             for lt in a.lights
         )
         b = a.replace(lights=swapped)
-        c = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.5)
+        c = sen.compute_contact(get_indenter("big_sphere"), center_pose(), 1.5, PAD)
         img_a, depth_a = sen.render_tactile(c, a)
         img_b, depth_b = sen.render_tactile(c, b)
         np.testing.assert_array_equal(depth_a, depth_b)
@@ -417,10 +433,10 @@ class TestRendering:
 
     def test_normals_flat_and_unit(self):
         flat = np.zeros((48, 64))
-        n = sen.surface_normals(flat, sen.PIXEL_PITCH)
+        n = sen.surface_normals(flat, PAD.pixel_pitch)
         np.testing.assert_array_equal(n[..., 2], 1.0)
-        c = sen.compute_contact(get_indenter("cone"), center_pose(), 2.0)
-        n = sen.surface_normals(c.penetration, sen.PIXEL_PITCH)
+        c = sen.compute_contact(get_indenter("cone"), center_pose(), 2.0, PAD)
+        n = sen.surface_normals(c.penetration, PAD.pixel_pitch)
         np.testing.assert_allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
 
     def test_normals_match_the_linalg_norm_formula(self):
@@ -431,15 +447,15 @@ class TestRendering:
                   for e in range(-3, 2)]
         for tool in ("cone", "cross", "big_sphere"):
             pose = sen.ToolPose(x=1.0, roll=20.0, yaw=30.0)
-            fields.append(sen.compute_contact(get_indenter(tool), pose, 1.3).penetration)
+            fields.append(sen.compute_contact(get_indenter(tool), pose, 1.3, PAD).penetration)
         for field in fields:
-            got = sen.surface_normals(field, sen.PIXEL_PITCH)
+            got = sen.surface_normals(field, PAD.pixel_pitch)
             assert got.view(np.uint64).tobytes() == reference_normals(
-                field, sen.PIXEL_PITCH).view(np.uint64).tobytes()
+                field, PAD.pixel_pitch).view(np.uint64).tobytes()
 
     def test_noise_needs_seed_and_is_reproducible(self):
         profile = get_profile("sensor1-gel1").replace(noise_sigma=2.0)
-        c = sen.compute_contact(get_indenter("cube"), center_pose(), 1.0)
+        c = sen.compute_contact(get_indenter("cube"), center_pose(), 1.0, PAD)
         with pytest.raises(ContractError, match="rng_seed"):
             sen.render_tactile(c, profile)
         a, _ = sen.render_tactile(c, profile, rng_seed=5)
