@@ -9,8 +9,10 @@ Subcommands
 
 Every subcommand writes into --out and takes only the shared flags it
 reads: --seed on all but eval and dataset stats, --profile on dataset
-gen, calibrate and the tasks, and --config on train alone. Each is a
-pure function of its flags and --seed: re-runs overwrite the same
+gen, calibrate and the tasks, and --config on train alone. With
+--estimator net, eval reads every --checkpoint and a task exactly one;
+with --estimator oracle a --checkpoint is refused. Each subcommand is
+a pure function of its flags and --seed: re-runs overwrite the same
 output files with byte-identical content. Numeric CSV cells carry 6
 significant digits. Exit codes are listed in the --help epilog; 0 means
 no error was raised, and a command that fails removes the --out
@@ -222,6 +224,7 @@ def cmd_dataset_gen(args):
         raise ContractError("--count must be non-negative")
     ds.check_bin_width(args.bin)
     pose_range = PoseRange(*args.pose_range) if args.pose_range else PoseRange()
+    ds.check_trajectory(args.step, args.f_max)
     if args.count == 0:
         samples = []
     else:
@@ -376,6 +379,8 @@ def _task_estimator(args, profile):
         return oracle_readout_estimator(profile)
     if not args.checkpoint:
         raise ContractError("the net estimator needs --checkpoint")
+    if len(args.checkpoint) > 1:
+        raise ContractError(f"tasks read one --checkpoint, got {len(args.checkpoint)}")
     net, normalizer, _ = _load_net(args.checkpoint[0])
     return net_estimator(net, normalizer)
 
@@ -541,7 +546,8 @@ def build_parser():
     p_eval = sub.add_parser("eval", parents=[out], help="score checkpoints")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--checkpoint", action="append", default=None,
-                        help="model file (repeatable; one summary row each)")
+                        help="model file of the net estimator "
+                             "(repeatable; one summary row each)")
     p_eval.add_argument("--estimator", choices=("net", "oracle"), default="net")
 
     p_cal = sub.add_parser("calibrate", parents=[out, seed, profile["calibrate"]],
@@ -562,7 +568,8 @@ def build_parser():
     p_weigh = tsub.add_parser("weigh", parents=[out, seed, profile["task"]],
                               help="estimate an object's mass from pushes")
     p_weigh.add_argument("--estimator", choices=("oracle", "net"), default="oracle")
-    p_weigh.add_argument("--checkpoint", action="append", default=None)
+    p_weigh.add_argument("--checkpoint", action="append", default=None,
+                         help="model file of the net estimator (one)")
     p_weigh.add_argument("--trials", type=int, default=5)
     p_weigh.add_argument("--mass", type=float, default=1.0)
     p_weigh.add_argument("--mu", type=float, default=0.3)
@@ -574,7 +581,8 @@ def build_parser():
                             help="close a gripper to a target force")
     p_def.add_argument("--target", type=float, required=True)
     p_def.add_argument("--estimator", choices=("oracle", "net"), default="oracle")
-    p_def.add_argument("--checkpoint", action="append", default=None)
+    p_def.add_argument("--checkpoint", action="append", default=None,
+                       help="model file of the net estimator (one)")
     p_def.add_argument("--step-mm", type=float, default=0.05)
     p_def.add_argument("--rim-noise", type=float, default=0.0)
     return top
@@ -596,6 +604,8 @@ def _dispatch(args):
         raise ContractError(f"output directory {args.out!r} is not writable")
     if getattr(args, "seed", 0) < 0:
         raise ContractError(f"--seed must be non-negative, got {args.seed}")
+    if getattr(args, "estimator", None) == "oracle" and args.checkpoint:
+        raise ContractError("--checkpoint is not read with --estimator oracle")
     if "profile" in args:
         args.profile = tuple(args.profile or _DEFAULT_PROFILES[args.command])
         for name in args.profile:

@@ -170,6 +170,15 @@ def sample_poses(pose_range, n, seed):
     return out
 
 
+def check_trajectory(step, f_max):
+    """Raise ContractError unless the step is finite and positive and
+    the force limit a number."""
+    if not 0 < step < np.inf:
+        raise ContractError(f"step must be finite and positive, got {step}")
+    if np.isnan(f_max):
+        raise ContractError("force limit f_max must be a number, got nan")
+
+
 def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
                     f_max=DEFAULT_FORCE_LIMIT_N, rng_seed=None):
     """Press the tool along its own axis and record one sample per step.
@@ -193,10 +202,7 @@ def run_indentation(indenter, pose, profile, step=DEFAULT_STEP_MM,
     envelope, or a first step that already lands below the gel, raises
     SafetyError; a first step at or past f_max gives no samples.
     """
-    if not 0 < step < np.inf:
-        raise ContractError(f"step must be finite and positive, got {step}")
-    if np.isnan(f_max):
-        raise ContractError("force limit f_max must be a number, got nan")
+    check_trajectory(step, f_max)
     tool_pose = pose if isinstance(pose, sensor.ToolPose) else sensor.ToolPose.from_array(pose)
     indenter = get_indenter(indenter) if isinstance(indenter, str) else indenter
     sensor.check_safe_pose(indenter, tool_pose)

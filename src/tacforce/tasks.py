@@ -444,9 +444,10 @@ def grasp_to_force(target, step_mm, estimator, cup=None,
     Per step both sensors render the cup contact at the current grip
     force; the controller stops at the first step whose *estimated*
     max normal force reaches the target (step 0, gripper open, counts:
-    a zero target stops before any closure). When the step force
-    increments sit on the readout lattice the stop force overshoots by
-    strictly less than one step's force increment.
+    a zero target stops before any closure; a negative one raises
+    ContractError). When the step force increments sit on the readout
+    lattice the stop force overshoots by strictly less than one step's
+    force increment.
 
     The step forces lie on the lattice spring * k * step_mm, so on a
     noiseless profile both fingers, and every later grasp with the same
@@ -456,6 +457,8 @@ def grasp_to_force(target, step_mm, estimator, cup=None,
     finger's frame from its own seed (see ``_pressed_sample``).
     """
     _require_finite("target", target)
+    if target < 0:
+        raise ContractError(f"target must be non-negative, got {target}")
     _require_finite("step_mm", step_mm)
     if step_mm <= 0:
         raise ContractError(f"step_mm must be positive, got {step_mm}")

@@ -81,22 +81,69 @@ class TestExitCodes:
             assert f"{code}  {klass.__name__}" in text
 
 
-def test_package_imports_no_optimize_or_ndimage():
-    """Importing every module, in a fresh interpreter, loads neither
-    scipy.optimize nor scipy.ndimage: together they add about 25 MB to
-    every process's resident floor, and the package uses scipy only for
-    scipy.special.erf."""
-    code = ("import importlib, pkgutil, sys, tacforce\n"
-            "for m in pkgutil.iter_modules(tacforce.__path__):\n"
-            "    importlib.import_module('tacforce.' + m.name)\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'ndimage'])))\n")
+def _fresh_python(code):
+    """Standard output of ``code`` run in a fresh interpreter on the package."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_imports_no_optimize_or_ndimage():
+    """Importing every module, in a fresh interpreter, loads no scipy
+    module at all: scipy.optimize and scipy.ndimage add about 25 MB to
+    every process's resident floor and scipy.special another 26 MB, and
+    the package uses scipy only for the erf of a GELU, which imports it
+    at its first call."""
+    code = ("import importlib, pkgutil, sys, tacforce\n"
+            "for m in pkgutil.iter_modules(tacforce.__path__):\n"
+            "    importlib.import_module('tacforce.' + m.name)\n"
+            f"print({SCIPY_MODULES})\n")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_commands_without_a_network_load_no_scipy(tmp_path):
+    """Collection, balancing, stats and the oracle estimators run on
+    numpy alone, through ``main`` in one fresh interpreter."""
+    root = str(tmp_path)
+    code = ("import sys\n"
+            "from tacforce.cli import main\n"
+            f"root = {root!r}\n"
+            "data = root + '/gen/dataset.faf'\n"
+            "for argv in (['dataset', 'gen', '--count', '1', '--out', root + '/gen'],\n"
+            "             ['dataset', 'balance', '--data', data, '--out', root + '/bal'],\n"
+            "             ['dataset', 'stats', '--data', data, '--out', root + '/stats'],\n"
+            "             ['eval', '--estimator', 'oracle', '--data', data,\n"
+            "              '--out', root + '/eval'],\n"
+            "             ['task', 'deform', '--estimator', 'oracle', '--target', '1',\n"
+            "              '--out', root + '/deform']):\n"
+            "    assert main(argv) == 0, argv\n"
+            f"print({SCIPY_MODULES})\n")
+    assert _fresh_python(code).splitlines()[-1] == "[]"
+    assert sorted(os.listdir(tmp_path)) == ["bal", "deform", "eval", "gen", "stats"]
+
+
+def test_first_gelu_loads_scipy_special_and_keeps_its_bits():
+    """One GELU imports scipy.special, and gives exactly
+    x * (0.5 * (1 + erf(x / sqrt(2)))), signed zeros and infinities
+    included (compared as uint64)."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import tacforce.autodiff as ad\n"
+            "x = np.concatenate([np.random.default_rng(5).standard_normal(1000) * 4,\n"
+            "                    [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, np.inf, -np.inf]])\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "y = ad.gelu(x).data\n"
+            "after = 'scipy.special' in sys.modules\n"
+            "from scipy.special import erf\n"
+            "with np.errstate(invalid='ignore'):\n"
+            "    ref = x * (0.5 * (1 + erf(x / np.sqrt(2))))\n"
+            "print(before, after, np.array_equal(y.view(np.uint64), ref.view(np.uint64)))\n")
+    assert _fresh_python(code).split() == ["False", "True", "True"]
 
 
 class TestDispatch:
@@ -143,6 +190,19 @@ class TestDatasetCommands:
         assert main(["dataset", "gen", "--out", str(tmp_path),
                      "--count", "0"]) == 0
         assert load(tmp_path / "dataset.faf") == []
+
+    @pytest.mark.parametrize("flags", [["--step", "nan"], ["--step", "0"],
+                                       ["--f-max", "nan"]])
+    def test_gen_count_zero_checks_step_and_f_max(self, tmp_path, capsys, flags):
+        # the same message as a run that simulates
+        errors = []
+        for count in ("1", "0"):
+            out = tmp_path / count
+            assert main(["dataset", "gen", "--out", str(out), "--count", count,
+                         *flags]) == EXIT_CODES[ContractError]
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("error: ")
 
     def test_gen_negative_count(self, tmp_path):
         assert main(["dataset", "gen", "--out", str(tmp_path),
@@ -299,6 +359,14 @@ class TestEval:
         assert main(["eval", "--data", str(workdir["data"]), "--out",
                      str(tmp_path)]) == EXIT_CODES[ContractError]
 
+    def test_oracle_refuses_checkpoint(self, workdir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["eval", "--data", str(workdir["data"]), "--out", str(out),
+                     "--estimator", "oracle", "--checkpoint",
+                     str(workdir["checkpoint"])]) == EXIT_CODES[ContractError]
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_all_zero(self, workdir, tmp_path):
         rc = main(["eval", "--data", str(workdir["data"]), "--out",
                    str(tmp_path), "--estimator", "oracle"])
@@ -415,6 +483,25 @@ class TestTasks:
         assert main(["task", "weigh", "--out", str(tmp_path),
                      "--estimator", "net"]) == EXIT_CODES[ContractError]
 
+    @pytest.mark.parametrize("task", [["weigh"], ["deform", "--target", "1"]])
+    def test_oracle_refuses_checkpoint(self, workdir, tmp_path, capsys, task):
+        out = tmp_path / "out"
+        assert main(["task", *task, "--out", str(out), "--checkpoint",
+                     str(workdir["checkpoint"])]) == EXIT_CODES[ContractError]
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", [["weigh"], ["deform", "--target", "1"]])
+    def test_second_checkpoint_refused(self, workdir, tmp_path, capsys, task):
+        # the second file is never opened
+        out = tmp_path / "out"
+        assert main(["task", *task, "--out", str(out), "--estimator", "net",
+                     "--checkpoint", str(workdir["checkpoint"]),
+                     "--checkpoint", str(tmp_path / "missing.fafw")]) == \
+            EXIT_CODES[ContractError]
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deform_row(self, tmp_path):
         rc = main(["task", "deform", "--out", str(tmp_path),
                    "--target", "1.74", "--seed", "5"])
@@ -514,8 +601,9 @@ class TestFlagFuzz:
     """Every numeric flag of every subcommand, fed NaN, +-inf, a negative,
     zero and a huge value drawn from a fixed seed, exits with a documented
     code and no traceback. A usage or contract error (exit 2 or 4) names
-    the flag, and a failed run leaves no --out behind. Each base command
-    is small, so a run that passes validation ends in well under a second."""
+    the flag, a negative --target is a contract error, and a failed run
+    leaves no --out behind. Each base command is small, so a run that
+    passes validation ends in well under a second."""
 
     @staticmethod
     def bases(workdir):
@@ -574,6 +662,8 @@ class TestFlagFuzz:
                     assert "Traceback" not in err, argv
                     if code in (2, 4):
                         assert any(name in err for name in names), (argv, err)
+                    if flag == "--target" and float(value) < 0:
+                        assert code == EXIT_CODES[ContractError], argv
                     if code != 0:
                         assert not out.parent.exists(), argv
         assert runs > 150

@@ -438,6 +438,18 @@ class TestChunkedPreprocess:
             arrays = training.make_training_arrays(mixed, norm, size=size)
             self.assert_rows_match(arrays, mixed, norm, size)
 
+    def test_chunk_size_changes_no_bits(self, samples, monkeypatch):
+        # three profile groups of 60 rows, interleaved, so the last chunk
+        # of each group is partial at 8 and at 32
+        picked = samples + samples[::-1]
+        norm = ds.DepthNormalizer.from_samples(picked)
+        out = {}
+        for chunk in (1, training._PREPROCESS_CHUNK, 32):
+            monkeypatch.setattr(training, "_PREPROCESS_CHUNK", chunk)
+            arrays = training.make_training_arrays(picked, norm)
+            out[chunk] = b"".join(arrays[k].tobytes() for k in sorted(arrays))
+        assert len(out) == 3 and len(set(out.values())) == 1
+
     def test_one_sample_preprocess_is_the_chunk_row(self, samples):
         norm = ds.DepthNormalizer.from_samples(samples)
         arrays = training.make_training_arrays(samples[:3], norm, size=17)

@@ -295,6 +295,11 @@ class TestGrasp:
         assert report.steps == 0
         assert report.true_force == 0.0
 
+    @pytest.mark.parametrize("target", [-5.0, -1e-9])
+    def test_negative_target_rejected(self, target):
+        with pytest.raises(ContractError, match="target must be non-negative"):
+            grasp_to_force(target, 0.05, ORACLE)
+
     def test_bad_step(self):
         with pytest.raises(ContractError):
             grasp_to_force(1.0, 0.0, ORACLE)
