@@ -4,7 +4,20 @@ The op set is the minimum needed by the force/depth network: matmul,
 broadcast add/sub/mul, softmax, layer norm, GELU (exact Gaussian-CDF
 form), leaky ReLU, strided 2D convolution and its stride-s adjoint
 (transposed convolution, output size (i-1)*s + k), reshape/transpose/
-concat/slicing, and sum/mean/abs/square/sqrt reductions.
+concat/slicing, and sum/mean/abs/square/sqrt reductions. Two fused ops
+serve the transformer: `linear` (x @ w + b) and `attention` (multi-head
+attention from the q/k/v projection to the heads' outputs). Each is one
+tape node that keeps only what its VJP reads, and each computes the
+bits of the op chain it replaces.
+
+The weight gradient of a (B, T, K) input is the sum over the batch of
+x[i].T @ g[i]. `_weight_grad` adds those (K, N) products into one buffer
+in batch order, the order numpy sums the (B, K, N) stack of them over
+axis 0, so it has the stack's bits without holding it. One 2-D GEMM
+over the (B*T, K) rows would be faster but sums in another order and
+changes the bits. The convolutions likewise call `np.matmul` with the
+operands, transposes and reshapes that `np.einsum(..., optimize=True)`
+chose for them, without its per-call path search.
 
 The graph is a dynamic tape: every op result remembers its parents and
 a VJP closure, and `backward` replays the tape in reverse construction
@@ -288,10 +301,45 @@ def matmul(a, b):
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(gd, np.swapaxes(bd, -1, -2)), ad.shape).reshape(a.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), gd), bd.shape).reshape(b.shape)
+            if a.ndim >= 2 and b.ndim == 2:
+                gb = _weight_grad(a.data, g)
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), gd), bd.shape).reshape(b.shape)
         return ga, gb
 
     return _make(out, (a, b), vjp, "matmul")
+
+
+def _weight_grad(x, g):
+    """The gradient of a 2-D weight w in x @ w: the sum over every
+    leading axis of x[i].T @ g[i], added into one (K, N) buffer in batch
+    order. numpy sums an outer axis in that order, so this has the bits
+    of the (B, K, N) product summed over axis 0 without holding it."""
+    x = x.reshape(-1, *x.shape[-2:])
+    g = g.reshape(-1, *g.shape[-2:])
+    out = np.matmul(x[0].T, g[0])
+    if len(x) > 1:
+        part = np.empty_like(out)
+        for xi, gi in zip(x[1:], g[1:]):
+            out += np.matmul(xi.T, gi, out=part)
+    return out
+
+
+def linear(x, w, b):
+    """x @ w + b for x (..., T, K), a weight w (K, N) and a bias b (N,), as
+    one tape node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def vjp(g):
+        return (np.matmul(g, w.data.T) if x.requires_grad else None,
+                _weight_grad(x.data, g) if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(out, (x, w, b), vjp, "linear")
 
 
 # -- shape ops -----------------------------------------------------------
@@ -334,8 +382,17 @@ def concat(tensors, axis=0):
 
 
 def slice_(a, key):
-    """Basic (non-repeating) indexing; the VJP scatters into zeros."""
+    """Basic (non-repeating) indexing; the VJP scatters into zeros.
+
+    Only ints, slices, None and Ellipsis are keys: an integer-array or
+    boolean key can repeat an element, whose gradients the scatter would
+    overwrite rather than add.
+    """
     a = _as_tensor(a)
+    for k in key if isinstance(key, tuple) else (key,):
+        if isinstance(k, (bool, np.bool_)) or not (
+                k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))):
+            raise ContractError(f"slice_ takes basic indexing keys only, got {type(k).__name__}")
     out = a.data[key]
 
     def vjp(g):
@@ -440,18 +497,58 @@ def leaky_relu(a, slope=0.01):
     return _make(out, (a,), vjp, "leaky_relu")
 
 
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(out, g):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def softmax(a):
     """Softmax over the last axis, max-shifted for stability."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
+    return _make(out, (a,), lambda g: (_softmax_vjp(out, g),), "softmax")
+
+
+def attention(qkv, heads):
+    """Multi-head scaled dot-product attention, as one tape node.
+
+    qkv (B, T, 3K) holds the query, key and value projections side by
+    side, each split into `heads` heads of K/heads features; the result
+    is the heads' outputs side by side, (B, T, K). Forward and backward
+    run the arithmetic of the reshape/transpose/slice/matmul/mul/softmax
+    chain it replaces, op for op, so the bits are the same. The q/k/v
+    gradients go straight into one (B, T, 3K) array; the chain summed
+    three zero-filled arrays there, which turns a -0.0 into +0.0, and
+    the final += 0.0 does the same.
+    """
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 3 or qkv.shape[2] % (3 * heads) != 0:
+        raise ShapeError("attention", qkv.shape, detail=f"last dim must split into 3 x {heads} heads")
+    b, t, k3 = qkv.shape
+    k = k3 // 3
+    dh = k // heads
+    scale = 1.0 / np.sqrt(dh)
+    # (3, B, heads, T, dh) views of the projections
+    q, key, v = qkv.data.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    p = _softmax(np.multiply(np.matmul(q, key.swapaxes(-1, -2)), scale))
+    out = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b, t, k)
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        go = g.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+        gs = np.multiply(_softmax_vjp(p, np.matmul(go, v.swapaxes(-1, -2))), scale)
+        gqkv = np.empty((b, t, 3, heads, dh))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        gq[...] = np.matmul(gs, key)
+        gk[...] = np.matmul(q.swapaxes(-1, -2), gs).swapaxes(-1, -2)
+        gv[...] = np.matmul(p.swapaxes(-1, -2), go)
+        gqkv += 0.0
+        return (gqkv.reshape(b, t, k3),)
 
-    return _make(out, (a,), vjp, "softmax")
+    return _make(out, (qkv,), vjp, "attention")
 
 
 def layer_norm(a, gain=None, bias=None, eps=1e-5):
@@ -508,9 +605,13 @@ def _conv_windows(x, kh, kw, stride):
 
 
 def _conv_gather(x, w, stride):
-    # y[b,o,i,j] = sum_{c,p,q} x[b,c,i*s+p,j*s+q] * w[o,c,p,q]
-    win = _conv_windows(x, w.shape[2], w.shape[3], stride)
-    return np.einsum("bchwpq,ocpq->bohw", win, w, optimize=True)
+    # y[b,o,i,j] = sum_{c,p,q} x[b,c,i*s+p,j*s+q] * w[o,c,p,q], as the
+    # kernel (O, C*kh*kw) times the windows (C*kh*kw, B*Ho*Wo)
+    O, C, kh, kw = w.shape
+    win = _conv_windows(x, kh, kw, stride)
+    B, _, Ho, Wo = win.shape[:4]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * Ho * Wo)
+    return np.matmul(w.reshape(O, C * kh * kw), cols).reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
 
 
 def _conv_scatter(g, w, stride, out_hw):
@@ -518,12 +619,28 @@ def _conv_scatter(g, w, stride, out_hw):
     # w layout: (channels of g, channels of out, kh, kw)
     B, Cg, Ho, Wo = g.shape
     _, Co, kh, kw = w.shape
+    rows = g.transpose(1, 0, 2, 3).reshape(Cg, B * Ho * Wo)
     out = np.zeros((B, Co, out_hw[0], out_hw[1]), dtype=np.float64)
     for p in range(kh):
         for q in range(kw):
-            contrib = np.einsum("bghw,gc->bchw", g, w[:, :, p, q], optimize=True)
+            # the kernel tap as np.einsum passed it: a transposed view, or
+            # a contiguous copy once it drops a single output channel
+            tap = w[:, :, p, q].T
+            if Co == 1:
+                tap = tap.copy()
+            contrib = np.matmul(tap, rows).reshape(Co, B, Ho, Wo).transpose(1, 0, 2, 3)
             out[:, :, p : p + stride * Ho : stride, q : q + stride * Wo : stride] += contrib
     return out
+
+
+def _kernel_grad(a, win):
+    # sum_{b,i,j} a[b,m,i,j] * win[b,n,i,j,p,q] -> (M, N, kh, kw): the
+    # kernel gradient of both convs, with a the operand that is not windowed
+    B, M, Ho, Wo = a.shape
+    N, kh, kw = win.shape[1], win.shape[4], win.shape[5]
+    rows = a.transpose(1, 0, 2, 3).reshape(M, B * Ho * Wo)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, N * kh * kw)
+    return np.matmul(rows, cols).reshape(M, N, kh, kw)
 
 
 def conv2d(x, w, stride=1):
@@ -543,8 +660,7 @@ def conv2d(x, w, stride=1):
         gx = _conv_scatter(g, w.data, stride, (H, W)) if x.requires_grad else None
         gw = None
         if w.requires_grad:
-            win = _conv_windows(x.data, kh, kw, stride)
-            gw = np.einsum("bchwpq,bohw->ocpq", win, g, optimize=True)
+            gw = _kernel_grad(g, _conv_windows(x.data, kh, kw, stride))
         return gx, gw
 
     return _make(out, (x, w), vjp, "conv2d")
@@ -570,8 +686,7 @@ def conv_transpose2d(x, w, stride=1):
         gx = _conv_gather(g, w.data, stride) if x.requires_grad else None
         gw = None
         if w.requires_grad:
-            win = _conv_windows(g, kh, kw, stride)
-            gw = np.einsum("bohwpq,bchw->copq", win, x.data, optimize=True)
+            gw = _kernel_grad(x.data, _conv_windows(g, kh, kw, stride))
         return gx, gw
 
     return _make(out, (x, w), vjp, "conv_transpose2d")

@@ -83,7 +83,7 @@ class Linear:
         self.bias = ad.parameter(np.zeros(n_out))
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.weight), self.bias)
+        return ad.linear(x, self.weight, self.bias)
 
     def named_params(self, prefix):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -102,24 +102,17 @@ class LayerNorm:
 
 
 class Attention:
+    """Multi-head self-attention: a fused q/k/v projection, `ad.attention`
+    over `heads` heads of dim/heads features each, and an output
+    projection. Tokens (B, T, dim) in, (B, T, dim) out."""
+
     def __init__(self, dim, heads, rng):
         self.heads = heads
         self.qkv = Linear(dim, 3 * dim, rng)
         self.proj = Linear(dim, dim, rng)
 
     def __call__(self, x):
-        b, t, k = x.shape
-        dh = k // self.heads
-        qkv = self.qkv(x)
-        qkv = ad.reshape(qkv, (b, t, 3, self.heads, dh))
-        qkv = ad.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, heads, T, dh)
-        q = ad.slice_(qkv, 0)
-        key = ad.slice_(qkv, 1)
-        v = ad.slice_(qkv, 2)
-        scores = ad.mul(ad.matmul(q, ad.transpose(key, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        out = ad.matmul(ad.softmax(scores), v)          # (B, heads, T, dh)
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, k))
-        return self.proj(out)
+        return self.proj(ad.attention(self.qkv(x), self.heads))
 
     def named_params(self, prefix):
         return (self.qkv.named_params(f"{prefix}.qkv")

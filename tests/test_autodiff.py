@@ -152,6 +152,90 @@ class TestMatmul:
             a @ b
 
 
+def with_signed_zeros(g):
+    """g with its first row +0.0 and every other element of its last row -0.0."""
+    g = g.copy()
+    g[..., 0, :] = 0.0
+    g[..., -1, ::2] = -0.0
+    return g
+
+
+def chain_attention(qkv, heads):
+    """Attention as the reshape/transpose/slice/matmul/mul/softmax chain
+    that `ad.attention` fuses."""
+    b, t, k3 = qkv.shape
+    k = k3 // 3
+    dh = k // heads
+    qkv = ad.transpose(ad.reshape(qkv, (b, t, 3, heads, dh)), (2, 0, 3, 1, 4))
+    q, key, v = ad.slice_(qkv, 0), ad.slice_(qkv, 1), ad.slice_(qkv, 2)
+    scores = ad.mul(ad.matmul(q, ad.transpose(key, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    out = ad.matmul(ad.softmax(scores), v)
+    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, k))
+
+
+class TestFusedOps:
+    """`linear` and `attention` give the bits of the chains they fuse."""
+
+    @pytest.mark.parametrize("x_shape", [(1, 1, 8), (1, 5, 8), (3, 1, 8), (3, 5, 8), (4, 8),
+                                         (2, 3, 5, 8)])
+    def test_linear_matches_add_matmul_bytes(self, rng, x_shape):
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=(8, 6)), rng.normal(size=6)
+        fused = ad.linear(*(ad.Tensor(a, requires_grad=True) for a in (x, w, b)))
+        mm = ad.matmul(ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True))
+        chain = ad.add(mm, ad.Tensor(b, requires_grad=True))
+        assert fused.data.tobytes() == chain.data.tobytes()
+        g = with_signed_zeros(rng.normal(size=fused.shape))
+        g_mm, gb = chain._vjp(g)
+        for got, want in zip(fused._vjp(g), (*mm._vjp(g_mm), gb)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x_shape", [(1, 5, 8), (3, 1, 8), (3, 5, 8), (2, 3, 5, 8), (4, 8)])
+    def test_weight_grad_is_the_stacked_sum(self, rng, x_shape):
+        """Batch-order accumulation has the bits of the (B, K, N) stack summed."""
+        x = with_signed_zeros(rng.normal(size=x_shape))
+        g = with_signed_zeros(rng.normal(size=x_shape[:-1] + (6,)))
+        stack = np.matmul(np.swapaxes(x, -1, -2), g)
+        want = stack.sum(axis=tuple(range(stack.ndim - 2)))
+        assert ad._weight_grad(x, g).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b, t", [(1, 1), (1, 17), (3, 1), (3, 17)])
+    @pytest.mark.parametrize("heads, dh", [(1, 8), (2, 8), (4, 8), (4, 16)])
+    def test_attention_matches_op_chain_bytes(self, rng, b, t, heads, dh):
+        qkv = rng.normal(size=(b, t, 3 * heads * dh))
+        for g in (with_signed_zeros(rng.normal(size=(b, t, heads * dh))),
+                  np.full((b, t, heads * dh), -0.0)):
+            grads = []
+            for op in (ad.attention, chain_attention):
+                x = ad.Tensor(qkv, requires_grad=True)
+                out = op(x, heads)
+                ad.backward(ad.mul(out, ad.Tensor(g)).sum())
+                grads.append((out.data.tobytes(), x.grad.tobytes()))
+            assert grads[0] == grads[1]
+
+    def test_attention_takes_one_tape_node(self, rng):
+        qkv = ad.Tensor(rng.normal(size=(2, 3, 12)), requires_grad=True)
+        out = ad.attention(qkv, 2)
+        assert out.op == "attention" and out._parents == (qkv,)
+
+    @pytest.mark.parametrize("shapes", [[(2, 3, 4), (4, 5), (5,)], [(3, 4), (4, 2), (2,)]])
+    def test_linear_grad(self, rng, shapes):
+        check_op(lambda x, w, b: ad.square(ad.linear(x, w, b)).sum(), shapes, rng)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_grad(self, rng, heads):
+        check_op(lambda qkv: ad.square(ad.attention(qkv, heads)).sum(), [(2, 3, 12)], rng)
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (2,)), ((3, 4), (4, 2), (3,)),
+                                        ((4,), (4, 2), (2,))])
+    def test_linear_shape_errors(self, shapes):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(*(ad.Tensor(np.zeros(s)) for s in shapes))
+
+    def test_attention_shape_error(self):
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(ad.Tensor(np.zeros((2, 3, 10))), 2)
+
+
 class TestShapeOps:
     def test_reshape(self, rng):
         check_op(lambda a: (ad.reshape(a, (6, 2)) @ ad.reshape(a, (2, 6))).sum(), [(3, 4)], rng)
@@ -170,6 +254,22 @@ class TestShapeOps:
 
     def test_slice_single_row(self, rng):
         check_op(lambda a: ad.square(a[0]).sum(), [(4, 5)], rng)
+
+    @pytest.mark.parametrize("key", [
+        [0, 0, 2],
+        np.array([0, 0, 2]),
+        np.array([True, False, True]),
+        True,
+        (slice(None), [1, 1]),
+    ])
+    def test_slice_rejects_advanced_keys(self, key):
+        """A repeated element would get one of its gradients, not their sum."""
+        a = ad.Tensor(np.ones((3, 3)), requires_grad=True)
+        with pytest.raises(ContractError, match="basic indexing"):
+            ad.slice_(a, key)
+
+    def test_slice_basic_keys(self, rng):
+        check_op(lambda a: ad.square(a[..., np.int64(1), None, 1:]).sum(), [(2, 3, 4)], rng)
 
     def test_bad_reshape(self):
         with pytest.raises(ShapeError):
@@ -381,19 +481,22 @@ class TestBackwardMachinery:
         (ad.matmul, ((2, 3, 4), (4, 5))),
         (lambda x, w: ad.conv2d(x, w, stride=2), ((2, 3, 7, 7), (4, 3, 3, 3))),
         (lambda x, w: ad.conv_transpose2d(x, w, stride=2), ((2, 3, 4, 4), (3, 2, 2, 2))),
+        (ad.linear, ((2, 3, 4), (4, 5), (5,))),
     ])
     def test_constant_operand_gets_no_gradient(self, rng, op, shapes):
         """A VJP computes nothing for an operand that needs no gradient,
-        and gives the other the bits it gets when both need one."""
+        and gives the others the bits they get when all need one."""
         arrays = [rng.normal(size=s) for s in shapes]
-        both = op(*(ad.Tensor(a, requires_grad=True) for a in arrays))
-        g = rng.normal(size=both.shape)
-        want = both._vjp(g)
-        for const in (0, 1):
+        every = op(*(ad.Tensor(a, requires_grad=True) for a in arrays))
+        g = rng.normal(size=every.shape)
+        want = every._vjp(g)
+        for const in range(len(arrays)):
             out = op(*(ad.Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)))
             got = out._vjp(g)
             assert got[const] is None
-            assert got[1 - const].tobytes() == want[1 - const].tobytes()
+            for i in range(len(arrays)):
+                if i != const:
+                    assert got[i].tobytes() == want[i].tobytes()
 
     def test_shared_subexpression(self, rng):
         check_op(

@@ -5,10 +5,12 @@ from tacforce import autodiff as ad
 from tacforce.checkpoint import load_model, save_model
 from tacforce.dataset import preprocess
 from tacforce.errors import ContractError, ShapeError
-from tacforce.model import ForceNet, ModelConfig
+from tacforce.model import Attention, ForceNet, Linear, ModelConfig
 from tacforce.profiles import get_profile
 from tacforce.sensor import ToolPose, compute_contact, render_tactile
 from tacforce.indenters import get_indenter
+
+from test_autodiff import chain_attention
 
 
 def count_parameters(net):
@@ -245,6 +247,79 @@ class TestConvEncoder:
         dead = [name for name, p in net.encoder.named_params()
                 if p.grad is None or not np.any(p.grad)]
         assert dead == []
+
+
+# every config the package trains: the default, the weighing net, the
+# byte oracle's tiny net, and the conv encoder with the default and tiny heads
+CONFIGS = {
+    "default": ModelConfig(),
+    "weighing": ModelConfig(embed_dim=32, depth=2, heads=4, decoder_channels=16),
+    "tiny": ModelConfig(embed_dim=16, depth=1, heads=2, decoder_channels=8),
+    "conv": ModelConfig(encoder="conv"),
+    "conv-tiny": ModelConfig(embed_dim=16, depth=1, heads=2, decoder_channels=8,
+                             encoder="conv"),
+}
+
+
+def train_grads(net, images):
+    """Forward, backward, and every parameter's gradient bytes."""
+    force, depth = net.forward(images)
+    ad.backward(ad.add(ad.mean(ad.square(force)), ad.mean(ad.square(depth))))
+    return {name: p.grad.tobytes() for name, p in net.named_params().items()}
+
+
+def einsum_scatter(g, w, stride, out_hw):
+    B, _, Ho, Wo = g.shape
+    out = np.zeros((B, w.shape[1], *out_hw))
+    for p in range(w.shape[2]):
+        for q in range(w.shape[3]):
+            out[:, :, p:p + stride * Ho:stride, q:q + stride * Wo:stride] += np.einsum(
+                "bghw,gc->bchw", g, w[:, :, p, q], optimize=True)
+    return out
+
+
+# each conv site and the np.einsum(..., optimize=True) it replaced
+EINSUM_SITES = {
+    "_conv_gather": lambda x, w, stride: np.einsum(
+        "bchwpq,ocpq->bohw", ad._conv_windows(x, w.shape[2], w.shape[3], stride), w,
+        optimize=True),
+    "_conv_scatter": einsum_scatter,
+    "_kernel_grad": lambda a, win: np.einsum("bnhwpq,bmhw->mnpq", win, a, optimize=True),
+}
+
+
+class TestFusedOpsInTheModel:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_conv_sites_match_einsum(self, monkeypatch, name, batch):
+        """Every conv product a training step computes, including the 1x1
+        single-output head and the one-channel decoder stages, has the bits
+        of the einsum it replaced."""
+        calls = []
+        for site in EINSUM_SITES:
+            def record(*args, _site=site, _fn=getattr(ad, site)):
+                out = _fn(*args)
+                calls.append((_site, args, out))
+                return out
+            monkeypatch.setattr(ad, site, record)
+        images = np.random.default_rng(batch).uniform(-1, 1, (batch, 32, 32, 3))
+        train_grads(ForceNet(CONFIGS[name], seed=1), images)
+        assert {site for site, _, _ in calls} == set(EINSUM_SITES)
+        for site, args, out in calls:
+            assert out.tobytes() == EINSUM_SITES[site](*args).tobytes(), site
+
+    @pytest.mark.parametrize("name", ["default", "weighing", "tiny"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_vit_matches_the_op_chains(self, monkeypatch, name, batch):
+        """A training step's forces and gradients are the same bytes with the
+        fused `linear` and `attention` as with the op chains they replaced."""
+        images = np.random.default_rng(batch).uniform(-1, 1, (batch, 32, 32, 3))
+        fused = train_grads(ForceNet(CONFIGS[name], seed=2), images)
+        monkeypatch.setattr(Linear, "__call__",
+                            lambda self, x: ad.add(ad.matmul(x, self.weight), self.bias))
+        monkeypatch.setattr(Attention, "__call__",
+                            lambda self, x: self.proj(chain_attention(self.qkv(x), self.heads)))
+        assert train_grads(ForceNet(CONFIGS[name], seed=2), images) == fused
 
 
 class TestSensorToModel:

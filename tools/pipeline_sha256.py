@@ -2,12 +2,13 @@
 
 Runs the `tacforce` subcommands in a fresh temporary directory, from
 dataset generation on all ten indenters (at the default pose range and
-over the whole safe envelope) and on all ten profiles through training,
-evaluation, calibration (on digit and on a workbench gel) and the
-downstream tasks, and prints one `sha256  name`
-line per output file and per command's stdout. Every subcommand is a pure function of its
-flags and --seed, so two checkouts that behave the same print the same
-lines; diff the output of two checkouts to compare them:
+over the whole safe envelope) and on all ten profiles through training
+(a tiny net, and one epoch of the default ViT), evaluation, calibration
+(on digit and on a workbench gel) and the downstream tasks, and prints
+one `sha256  name` line per output file and per command's stdout. Every
+subcommand is a pure function of its flags and --seed, so two checkouts
+that behave the same print the same lines; diff the output of two
+checkouts to compare them:
 
     python3 tools/pipeline_sha256.py > a.txt
     (in the other checkout) python3 tools/pipeline_sha256.py > b.txt
@@ -30,6 +31,11 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 TINY = {"model": {"embed_dim": 16, "depth": 1, "heads": 2, "decoder_channels": 8},
         "train": {"epochs": 2, "batch_size": 8, "backbone_lr": 1e-3, "head_lr": 1e-3}}
+
+# the default ViT (embed 64, depth 4, heads 4: 16 features a head) for one
+# epoch; gen's 184 samples make batches of 61, 61, 61 and 1, so a one-sample
+# batch is hashed too
+DEFAULT = {"train": {"epochs": 1, "batch_size": 61}}
 
 CALIBRATE = ["--samples", "20", "--steps", "5", "--lr", "1e-3", "--seed", "9",
              "--data", "gen/dataset.faf"]
@@ -88,6 +94,10 @@ PIPELINE = [
     # the ablation flags, which override the config's train section
     ("train-ablation", ["train", "--data", "gen/dataset.faf", "--config", "tiny.json",
                         "--no-decoder", "--frozen-backbone", "--seed", "3"]),
+    ("train-default", ["train", "--data", "gen/dataset.faf", "--config", "default.json",
+                       "--seed", "3"]),
+    ("eval-default", ["eval", "--data", "gen/dataset.faf",
+                      "--checkpoint", "train-default/model.fafw"]),
     ("eval-net", ["eval", "--data", "gen/dataset.faf",
                   "--checkpoint", "train-vit/model.fafw",
                   "--checkpoint", "train-conv/model.fafw"]),
@@ -128,8 +138,9 @@ def sha256(data):
 def main():
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="pipeline-") as root:
-        with open(os.path.join(root, "tiny.json"), "w", encoding="utf-8") as fh:
-            json.dump(TINY, fh)
+        for fname, config in (("tiny.json", TINY), ("default.json", DEFAULT)):
+            with open(os.path.join(root, fname), "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
         for name, argv in PIPELINE:
             cmd = [sys.executable, "-m", "tacforce.cli", *argv, "--out", name]
             proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True)
